@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -317,19 +316,12 @@ func BenchmarkExtensionMultiLevel(b *testing.B) {
 // BENCH_JSON environment variable names a directory.
 func emitBench(b *testing.B, name string, bench perf.Benchmark) {
 	b.Helper()
-	emitBenchNotes(b, name, "", bench)
-}
-
-// emitBenchNotes is emitBench with a human-readable environment note
-// recorded in the report.
-func emitBenchNotes(b *testing.B, name, notes string, bench perf.Benchmark) {
-	b.Helper()
 	dir := os.Getenv("BENCH_JSON")
 	if dir == "" {
 		return
 	}
 	bench.Name = name
-	r := perf.NewReport(notes)
+	r := perf.NewReport("")
 	r.Add(bench)
 	if err := r.WriteJSON(filepath.Join(dir, "BENCH_"+name+".json")); err != nil {
 		b.Error(err)
@@ -464,86 +456,6 @@ func BenchmarkFig5Wallclock(b *testing.B) {
 		NsPerOp:      float64(b.Elapsed().Nanoseconds()) / float64(b.N),
 		EventsPerSec: eps,
 	})
-}
-
-// BenchmarkFig5Partitioned measures the partitioned parallel kernel against
-// the serial kernel. The 64K arms regenerate Figure 5's 64K-rank column
-// (all five approaches) with the experiment worker pool pinned to one, so
-// the in-simulation lane workers are the only parallelism — the speedup
-// measured is the partitioned kernel's alone, and on a single-core machine
-// it honestly reports the coordination overhead instead. The 1M arm times
-// the paper's best approach (rbIO nf=ng) at np=1,048,576 on the partitioned
-// kernel, the scale the partitioning exists for. With BENCH_JSON set, all
-// arms land in BENCH_fig5_1m.json.
-func BenchmarkFig5Partitioned(b *testing.B) {
-	perf.TuneGC()
-	arms := []struct {
-		name       string
-		np, shards int
-		approaches []int
-	}{
-		{"serial64K", 65536, 1, nil},
-		{"sharded64K", 65536, 8, nil},
-		{"sharded1M", 1048576, 8, []int{4}},
-	}
-	type res struct {
-		wall, eps float64
-		events    uint64
-	}
-	results := map[string]res{}
-	for _, arm := range arms {
-		b.Run(arm.name, func(b *testing.B) {
-			o := opts()
-			o.NPs = []int{arm.np}
-			o.Parallel = 1
-			o.Shards = arm.shards
-			var events uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runs, err := exp.RunAll(o, arm.approaches...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range runs {
-					events += r.Events
-				}
-			}
-			b.StopTimer()
-			eps := float64(events) / b.Elapsed().Seconds()
-			b.ReportMetric(eps, "events/s")
-			b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "s/sweep")
-			results[arm.name] = res{
-				wall:   b.Elapsed().Seconds() / float64(b.N),
-				eps:    eps,
-				events: events / uint64(b.N),
-			}
-		})
-	}
-	s, okS := results["serial64K"]
-	sh, okSh := results["sharded64K"]
-	m, okM := results["sharded1M"]
-	if okS && okSh && okM {
-		emitBenchNotes(b, "fig5_1m",
-			fmt.Sprintf("Partitioned (sharded) kernel vs serial, seed=1, experiment pool pinned to 1 worker, GOMAXPROCS=%d. "+
-				"64K arms: full Figure 5 column (five approaches); 1M arm: rbIO nf=ng only, shards=8. "+
-				"Sharded output is byte-identical to serial (goldens in internal/exp). "+
-				"The >=2x parallel speedup target requires >=4 cores; a single-CPU machine cannot demonstrate it — there the measured ratio (sharded64K_speedup) is calendar-locality gains minus lane-coordination overhead, not parallelism.",
-				runtime.GOMAXPROCS(0)),
-			perf.Benchmark{
-				NsPerOp:      m.wall * 1e9,
-				EventsPerSec: m.eps,
-				Extra: map[string]float64{
-					"serial64K_wall_s":          s.wall,
-					"serial64K_events_per_sec":  s.eps,
-					"sharded64K_wall_s":         sh.wall,
-					"sharded64K_events_per_sec": sh.eps,
-					"sharded64K_speedup":        s.wall / sh.wall,
-					"sharded1M_wall_s":          m.wall,
-					"sharded1M_kernel_events":   float64(m.events),
-					"gomaxprocs":                float64(runtime.GOMAXPROCS(0)),
-				},
-			})
-	}
 }
 
 // BenchmarkRecovery measures the closed-loop checkpoint/restart lifecycle

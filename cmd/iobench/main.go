@@ -47,7 +47,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "simulation seed")
 		quiet     = flag.Bool("quiet", false, "disable the shared-storage noise model")
 		parallel  = flag.Int("parallel", runtime.NumCPU(), "experiment worker-pool size (1 = serial); results are identical at any setting")
-		shards    = flag.Int("shards", 0, "partitioned-kernel lane workers inside each simulation (0 or 1 = serial kernel); results are identical at any setting")
 		fsName    = flag.String("fs", "gpfs", "storage backend for checkpoint experiments: gpfs, pvfs, bbuf (fscompare, drainoverlap and the GPFS-knob ablations/priorwork pick their own backends)")
 		ckptName  = flag.String("ckpt", "", "restrict the headline sweeps (fig5/fig6/fig7) to one ckpt-registry strategy: 1pfpp, coio1, coio, rbio1, rbio, multilevel, async (\"\" = all five headline arms)")
 		machName  = flag.String("machine", "", "machine preset for checkpoint experiments: intrepid (default), bgl, fattree, dragonfly (priorwork pins its own machines)")
@@ -83,10 +82,6 @@ func main() {
 	}
 	if err := machine.ValidatePlacement(*mapName); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "invalid -shards %d (want >= 0; 0 or 1 = serial kernel)\n", *shards)
 		os.Exit(2)
 	}
 	if *tenants < 0 {
@@ -129,7 +124,6 @@ func main() {
 		exp.Seed(*seed),
 		exp.Backend(backend),
 		exp.Parallel(*parallel),
-		exp.Shards(*shards),
 		exp.Machine(*machName),
 		exp.Map(*mapName),
 		exp.Ckpt(*ckptName),

@@ -51,7 +51,6 @@ func main() {
 		machName = flag.String("machine", "", "machine preset: intrepid (default), bgl, fattree, dragonfly")
 		mapName  = flag.String("map", "", "rank->node placement policy: txyz (default), xyzt, blocked, roundrobin, random")
 		quiet    = flag.Bool("quiet", false, "disable shared-storage noise")
-		shards   = flag.Int("shards", 0, "partitioned-kernel lane workers (0 or 1 = serial kernel; results are identical at any setting; ignored with -log)")
 		content  = flag.Bool("content", false, "content mode: run the real SEDG kernel and verify restart bit-for-bit (small np)")
 		logPath  = flag.String("log", "", "write a Darshan-style I/O trace (JSON) to this file")
 		elems    = flag.Int("elements", 0, "mesh elements (default: paper weak scaling, ~4.25/rank at N=15)")
@@ -61,10 +60,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "invalid -shards %d (want >= 0; 0 or 1 = serial kernel)\n", *shards)
-		os.Exit(2)
-	}
 	backend, err := fsys.Lookup(*fsName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -126,12 +121,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// The partitioned kernel must be enabled before any process spawns
-	// (storage servers included); per-op logging appends from every rank and
-	// stays serial.
-	if *shards > 1 && *logPath == "" && m.NumPsets() > 1 {
-		k.EnableSharding(m.NumPsets(), *shards, m.Lookahead(), *seed)
-	}
 	fs, err := fsys.Mount(backend, m, fsys.MountOptions{
 		Quiet:     *quiet,
 		BBNodes:   bbNodes,
@@ -141,11 +130,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if k.Sharded() {
-		// Storage state is global to the machine: route every time-charging
-		// file-system call through the exclusive lane.
-		fs = fsys.Guard(fs)
 	}
 	w := mpi.NewWorld(m, mpi.DefaultConfig())
 
@@ -162,7 +146,7 @@ func main() {
 	var seg *recover.Segment
 	if *workStps > 0 && *epochs > 0 {
 		mlog = recover.NewLog(*seed, *np)
-		if di, ok := fsys.AsDrainInfo(fs); ok {
+		if di, ok := fs.(fsys.DrainInfo); ok {
 			// Burst-buffer backend: an epoch seals only once the fleet is
 			// expected to have drained it — absorption is not durability.
 			mlog.SetCommitGate(func(t float64) float64 {

@@ -36,8 +36,8 @@ type Scheduler interface {
 	Queued() bool
 	// Pick returns the index into pending of the request to dispatch next.
 	// pending is never empty; its order is admission order (Seq ascending).
-	// Pick must be a pure function of pending — determinism across shard
-	// counts and GOMAXPROCS rests on it.
+	// Pick must be a pure function of pending — run-to-run determinism
+	// rests on it.
 	Pick(pending []Request) int
 }
 

@@ -81,8 +81,7 @@ func (s Async) Plan(c *mpi.Comm, r *mpi.Rank) (Plan, error) {
 // asyncShared is the plan state all ranks of a communicator share. The pset
 // map is built once, before any checkpoint, and is read-only afterwards;
 // each pset's inner state is mutated only by that pset's own ranks (and its
-// agent), so under the partitioned kernel every mutation stays confined to
-// one partition.
+// agent).
 type asyncShared struct {
 	psets map[int]*asyncPset
 }
@@ -247,11 +246,9 @@ func (pl *asyncPlan) arrive(env *Env, r *mpi.Rank, cp *Checkpoint, snapEnd float
 	return fl
 }
 
-// spawnAgent starts the background flush for a completed flight, in the
-// calling rank's partition so the flight state stays partition-confined.
+// spawnAgent starts the background flush for a completed flight.
 func (pl *asyncPlan) spawnAgent(env *Env, r *mpi.Rank, fl *asyncFlight) {
-	p := r.Proc()
-	p.Kernel().GoPart(p.Part(), fmt.Sprintf("async.agent/ps%d.s%d", pl.pset, fl.step),
+	r.Proc().Kernel().Go(fmt.Sprintf("async.agent/ps%d.s%d", pl.pset, fl.step),
 		func(fp *sim.Proc) {
 			pl.flush(env, fp, fl)
 			fl.done.Fire()
@@ -299,7 +296,7 @@ func (pl *asyncPlan) flush(env *Env, fp *sim.Proc, fl *asyncFlight) {
 		}
 	} else {
 		fl.durable = now
-		if di, ok := fsys.AsDrainInfo(env.FS); ok {
+		if di, ok := env.FS.(fsys.DrainInfo); ok {
 			// The storage acknowledged the commit, but on a burst-buffer
 			// backend the bytes may still sit in fleet buffers: report how
 			// far past the durable point the fleet's drain horizon reaches.

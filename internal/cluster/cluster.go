@@ -10,14 +10,12 @@
 //   - Launch (static): every tenant's allocation is carved up front and its
 //     ranks are spawned before the kernel runs, sleeping until the tenant's
 //     arrival time. All allocations coexist, so peak demand must fit the
-//     machine — in exchange the mode works on the sharded kernel and is
-//     byte-identical across shard counts.
+//     machine.
 //   - LaunchQueued (dynamic): a per-tenant admission process sleeps until
 //     arrival, queues until a large-enough span is free, then places and
 //     starts the job; a finished job's OnComplete hook retires its
 //     allocation and wakes the queue. Admission order is deterministic
-//     (arrival time, then spec order). Serial kernel only: admission
-//     mutates shared allocator state in simulation time.
+//     (arrival time, then spec order).
 package cluster
 
 import (
@@ -105,8 +103,7 @@ type Session struct {
 }
 
 // NewSession builds a session over a machine and filesystem. fs is what
-// tenant ranks call — pass a fsys.Guard-wrapped system when the kernel is
-// sharded, exactly as single-tenant runs do.
+// tenant ranks call.
 func NewSession(m *machine.Machine, fs fsys.System) *Session {
 	return &Session{
 		M:             m,
@@ -180,13 +177,10 @@ func (s *Session) LaunchOn(a *machine.Alloc, t Tenant) (*Job, error) {
 
 // LaunchQueued spawns one admission process per tenant (dynamic
 // scheduling): sleep to arrival, queue until capacity frees, place, run,
-// and retire the allocation on completion. Serial kernel only. The
-// returned jobs fill in Alloc/World/Admitted as the simulation admits
-// them; Collect reads them after the kernel ran.
-func (s *Session) LaunchQueued(tenants []Tenant) ([]*Job, error) {
-	if s.M.K.Sharded() {
-		return nil, fmt.Errorf("cluster: queued admission needs the serial kernel (admission mutates shared allocator state mid-run)")
-	}
+// and retire the allocation on completion. The returned jobs fill in
+// Alloc/World/Admitted as the simulation admits them; Collect reads them
+// after the kernel ran.
+func (s *Session) LaunchQueued(tenants []Tenant) []*Job {
 	jobs := make([]*Job, len(tenants))
 	for i, t := range tenants {
 		i, t := i, t
@@ -220,7 +214,7 @@ func (s *Session) LaunchQueued(tenants []Tenant) ([]*Job, error) {
 			j.pe = pe
 		})
 	}
-	return jobs, nil
+	return jobs
 }
 
 // wakeQueue unparks every queued admission process, in queue order; each

@@ -149,11 +149,9 @@ func AsyncFrontier(o Options, np int, mtbfHours float64, trials int) ([]AsyncFro
 
 // runFrontierCell executes one multi-step run of one arm, mirroring
 // runCheckpoint's construction order (kernel, experiment RNG, machine,
-// sharding gate, storage, faults, world) so the single-step goldens pin
-// this path's components too. Every run records epochs into a fresh
-// manifest log; the staleness probe reads it at the schedule's node-kill
-// instants. Faulted cells stay on the serial kernel, same rule as every
-// faulted job.
+// storage, faults, world) so the single-step goldens pin this path's
+// components too. Every run records epochs into a fresh manifest log; the
+// staleness probe reads it at the schedule's node-kill instants.
 func runFrontierCell(o Options, np int, name string, spec *FaultSpec) (*frontierCell, error) {
 	strat := ckpt.MustNew(name, np)
 	k := sim.NewKernel()
@@ -162,16 +160,9 @@ func runFrontierCell(o Options, np int, name string, spec *FaultSpec) (*frontier
 	if err != nil {
 		return nil, err
 	}
-	if o.Shards > 1 && spec == nil && m.NumPsets() > 1 {
-		k.EnableSharding(m.NumPsets(), o.Shards, m.Lookahead(), o.seed())
-	}
 	fs, _, err := buildFS(o, m, o.FS)
 	if err != nil {
 		return nil, err
-	}
-	runFS := fs
-	if k.Sharded() {
-		runFS = fsys.Guard(fs)
 	}
 	var inj *fault.Injector
 	var sched fault.Schedule
@@ -205,7 +196,7 @@ func runFrontierCell(o Options, np int, name string, spec *FaultSpec) (*frontier
 	}
 	w := mpi.NewWorld(m, mpi.DefaultConfig())
 	mlog := recover.NewLog(o.seed(), np)
-	if di, ok := fsys.AsDrainInfo(fs); ok {
+	if di, ok := fs.(fsys.DrainInfo); ok {
 		// Burst-buffer backend: epoch seals defer to the fleet's drain
 		// horizon (absorption is not durability).
 		mlog.SetCommitGate(func(t float64) float64 {
@@ -231,7 +222,7 @@ func runFrontierCell(o Options, np int, name string, spec *FaultSpec) (*frontier
 	if inj != nil {
 		rcfg.RankUp = func(rank int) bool { return inj.Up(fault.Node, m.NodeOfRank(rank)) }
 	}
-	res, err := nekcem.Run(w, runFS, rcfg)
+	res, err := nekcem.Run(w, fs, rcfg)
 	if err != nil {
 		if spec != nil && fsys.Unavailable(err) {
 			// A sync strategy without a fault-aware path hit dead storage

@@ -6,10 +6,10 @@ import (
 )
 
 // frontierAt renders the frontier table at a reduced scale with the given
-// worker-pool and shard settings.
-func frontierAt(t *testing.T, parallel, shards int) ([]AsyncFrontierRow, string) {
+// worker-pool size.
+func frontierAt(t *testing.T, parallel int) ([]AsyncFrontierRow, string) {
 	t.Helper()
-	rows, err := AsyncFrontier(Options{Seed: 1, Parallel: parallel, Shards: shards}, 512, 6, 2)
+	rows, err := AsyncFrontier(Options{Seed: 1, Parallel: parallel}, 512, 6, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func frontierAt(t *testing.T, parallel, shards int) ([]AsyncFrontierRow, string)
 // durability into worse staleness bookkeeping (its step time to durability
 // is not shorter than its blocked time says).
 func TestAsyncFrontierBlockedTimeWin(t *testing.T) {
-	rows, _ := frontierAt(t, 4, 0)
+	rows, _ := frontierAt(t, 4)
 	byName := map[string]AsyncFrontierRow{}
 	for _, r := range rows {
 		byName[r.Strategy] = r
@@ -61,22 +61,18 @@ func TestAsyncFrontierBlockedTimeWin(t *testing.T) {
 	}
 }
 
-// TestAsyncFrontierDeterministicAcrossWorkers pins reproducibility over the
-// two concurrency axes: the worker pool that fans the cells out and the
-// partitioned kernel inside each simulation.
+// TestAsyncFrontierDeterministicAcrossWorkers pins reproducibility across
+// the worker pool that fans the cells out.
 func TestAsyncFrontierDeterministicAcrossWorkers(t *testing.T) {
-	_, ref := frontierAt(t, 1, 0)
-	if _, got := frontierAt(t, 4, 0); got != ref {
+	_, ref := frontierAt(t, 1)
+	if _, got := frontierAt(t, 4); got != ref {
 		t.Errorf("4-worker pool differs:\n%s\nvs\n%s", got, ref)
-	}
-	if _, got := frontierAt(t, 4, 4); got != ref {
-		t.Errorf("4-shard kernel differs:\n%s\nvs\n%s", got, ref)
 	}
 }
 
 // TestAsyncFrontierTableShape pins the rendered arms and header.
 func TestAsyncFrontierTableShape(t *testing.T) {
-	_, table := frontierAt(t, 4, 0)
+	_, table := frontierAt(t, 4)
 	for _, want := range []string{"blocked (s)", "max stale (s)", "rbio", "coio", "async"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)

@@ -17,18 +17,17 @@ import (
 )
 
 // clusterSession is the exp-layer wiring of one multi-tenant run: the same
-// construction order as runCheckpoint (recorder, machine, sharding, backend,
-// guard) over a machine sized to host every tenant at once, plus the cluster
-// scheduler. When the tenant list collapses to one job filling the machine,
-// the composition is byte-identical to a single-tenant runCheckpoint — the
-// nt=1 goldens pin it.
+// construction order as runCheckpoint (recorder, machine, backend) over a
+// machine sized to host every tenant at once, plus the cluster scheduler.
+// When the tenant list collapses to one job filling the machine, the
+// composition is byte-identical to a single-tenant runCheckpoint — the nt=1
+// goldens pin it.
 type clusterSession struct {
 	o        Options
 	K        *sim.Kernel
 	M        *machine.Machine
-	FS       fsys.System    // raw backend (fault attachment needs it)
+	FS       fsys.System    // the backend tenants and fault attachment share
 	Stats    *storage.Stats // live storage-core counters
-	RunFS    fsys.System    // what tenants call: Guard-wrapped when sharded
 	Rec      *trace.Recorder
 	Sess     *cluster.Session
 	Capacity int // machine size in ranks
@@ -72,9 +71,8 @@ func nextPow2(n int) int {
 // newClusterSession builds the shared kernel+machine+backend for a tenant
 // set. capacityRanks <= 0 sizes the machine from the tenants; a positive
 // value pins it (ckptstorm's arms share one machine size so the hardware is
-// held fixed while the tenant mix varies). serial forces the serial kernel
-// even when Options ask for shards (queued admission, fault injection).
-func newClusterSession(o Options, tenants []cluster.Tenant, capacityRanks int, serial bool) (*clusterSession, error) {
+// held fixed while the tenant mix varies).
+func newClusterSession(o Options, tenants []cluster.Tenant, capacityRanks int) (*clusterSession, error) {
 	if capacityRanks <= 0 {
 		var err error
 		if capacityRanks, err = clusterCapacity(o, tenants); err != nil {
@@ -109,20 +107,13 @@ func newClusterSession(o Options, tenants []cluster.Tenant, capacityRanks int, s
 	if err != nil {
 		return nil, err
 	}
-	if o.Shards > 1 && !serial && m.NumPsets() > 1 {
-		k.EnableSharding(m.NumPsets(), o.Shards, m.Lookahead(), o.seed())
-	}
 	fs, stats, err := buildFS(o, m, o.FS)
 	if err != nil {
 		return nil, err
 	}
-	runFS := fs
-	if k.Sharded() {
-		runFS = fsys.Guard(fs)
-	}
 	cs := &clusterSession{
-		o: o, K: k, M: m, FS: fs, Stats: stats, RunFS: runFS,
-		Rec: rec, Sess: cluster.NewSession(m, runFS), Capacity: capacityRanks,
+		o: o, K: k, M: m, FS: fs, Stats: stats,
+		Rec: rec, Sess: cluster.NewSession(m, fs), Capacity: capacityRanks,
 	}
 	return cs, nil
 }
@@ -206,20 +197,17 @@ type ClusterRun struct {
 
 // RunCluster hosts the tenants together on one machine and runs them to
 // completion. queued selects dynamic admission (arrive, wait for capacity,
-// place, retire — serial kernel only); otherwise every tenant is admitted up
-// front, which supports the sharded kernel and per-tenant attribution.
+// place, retire); otherwise every tenant is admitted up front, which
+// supports per-tenant attribution.
 func RunCluster(o Options, tenants []cluster.Tenant, queued bool) (*ClusterRun, error) {
-	cs, err := newClusterSession(o, tenants, 0, queued)
+	cs, err := newClusterSession(o, tenants, 0)
 	if err != nil {
 		return nil, err
 	}
 	var jobs []*cluster.Job
 	if queued {
-		jobs, err = cs.Sess.LaunchQueued(cs.tenantDefaults(tenants))
-	} else {
-		jobs, err = cs.launch(tenants)
-	}
-	if err != nil {
+		jobs = cs.Sess.LaunchQueued(cs.tenantDefaults(tenants))
+	} else if jobs, err = cs.launch(tenants); err != nil {
 		return nil, err
 	}
 	if err := cs.run(jobs); err != nil {
@@ -318,7 +306,7 @@ func CkptStorm(o Options, np, nt int) (*CkptStormResult, error) {
 	res := &CkptStormResult{NP: np, Tenants: nt, Capacity: capRanks}
 
 	arm := func(sname, label string, tenants []cluster.Tenant) ([]*cluster.Job, *trace.Recorder, error) {
-		cs, err := newClusterSession(o, tenants, capRanks, false)
+		cs, err := newClusterSession(o, tenants, capRanks)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -453,9 +441,7 @@ type RestartStormResult struct {
 }
 
 // RestartStorm runs the outage scenario on one kernel across four phases:
-// write, outage, solo-read baselines, storm. Fault injection mutates shared
-// storage state, so the whole scenario runs on the serial kernel — same rule
-// as every faulted job.
+// write, outage, solo-read baselines, storm.
 func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 	if nt < 1 {
 		return nil, fmt.Errorf("exp: restartstorm needs at least 1 tenant, got %d", nt)
@@ -468,7 +454,7 @@ func RestartStorm(o Options, np, nt int) (*RestartStormResult, error) {
 		logs[i] = recover.NewLog(o.seed(), tenants[i].NP)
 		tenants[i].Epochs = logs[i].StartSegment("ckpt/"+tenants[i].Name, 0, 0)
 	}
-	cs, err := newClusterSession(o, tenants, 0, true)
+	cs, err := newClusterSession(o, tenants, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -639,14 +625,11 @@ func RunWorkload(o Options, wk cluster.Workload) (*WorkloadResult, error) {
 		}
 		capRanks = nextPow2(2 * capRanks)
 	}
-	cs, err := newClusterSession(o, tenants, capRanks, true)
+	cs, err := newClusterSession(o, tenants, capRanks)
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := cs.Sess.LaunchQueued(cs.tenantDefaults(tenants))
-	if err != nil {
-		return nil, err
-	}
+	jobs := cs.Sess.LaunchQueued(cs.tenantDefaults(tenants))
 	if err := cs.run(jobs); err != nil {
 		return nil, err
 	}

@@ -39,73 +39,65 @@ func clusterHeadline(t *testing.T, o Options, np int) []HeadlineRow {
 // the pre-refactor single-tenant runner. It reproduces the fig5 and
 // fscompare tables through the cluster layer and diffs them against the
 // same goldens that pin runCheckpoint (machine_*.golden), at seeds 1/3 and
-// np 2048/4096, with the sharded kernel exercised alongside the serial one.
+// np 2048/4096.
 func TestClusterSingleTenantGoldenIdentity(t *testing.T) {
 	for _, np := range []int{2048, 4096} {
 		for _, seed := range []uint64{1, 3} {
 			if testing.Short() && np > 2048 {
 				continue
 			}
+			np, seed := np, seed
 			name := fmt.Sprintf("np%d_seed%d", np, seed)
-			for _, shards := range []int{1, 4} {
-				np, seed, shards := np, seed, shards
-				t.Run(fmt.Sprintf("fig5_%s_shards%d", name, shards), func(t *testing.T) {
-					t.Parallel()
-					rows := clusterHeadline(t, Options{Seed: seed, Shards: shards}, np)
-					checkGolden(t, "machine_fig5_"+name+".golden", Fig5Table(rows))
-				})
-				t.Run(fmt.Sprintf("fscompare_%s_shards%d", name, shards), func(t *testing.T) {
-					t.Parallel()
-					strategies := []ckpt.Strategy{
-						ckpt.DefaultRbIO(),
-						ckpt.CoIO{NumFiles: np / 64, Hints: defaultHints()},
-						ckpt.OnePFPP{},
-					}
-					var rows []FSRow
-					for _, fsName := range FileSystems {
-						for _, strat := range strategies {
-							cr, err := RunCluster(Options{Seed: seed, FS: fsName, Shards: shards},
-								[]cluster.Tenant{{Name: "t0", NP: np, Strategy: strat, Dir: "ckpt"}}, false)
-							if err != nil {
-								t.Fatal(err)
-							}
-							agg := cr.Jobs[0].Res.Checkpoints[0]
-							rows = append(rows, FSRow{
-								FS: string(fsName), Strategy: strat.Name(), NP: np,
-								GBps: GB(agg.Bandwidth()), StepSec: agg.StepTime(),
-							})
+			t.Run("fig5_"+name, func(t *testing.T) {
+				t.Parallel()
+				rows := clusterHeadline(t, Options{Seed: seed}, np)
+				checkGolden(t, "machine_fig5_"+name+".golden", Fig5Table(rows))
+			})
+			t.Run("fscompare_"+name, func(t *testing.T) {
+				t.Parallel()
+				strategies := []ckpt.Strategy{
+					ckpt.DefaultRbIO(),
+					ckpt.CoIO{NumFiles: np / 64, Hints: defaultHints()},
+					ckpt.OnePFPP{},
+				}
+				var rows []FSRow
+				for _, fsName := range FileSystems {
+					for _, strat := range strategies {
+						cr, err := RunCluster(Options{Seed: seed, FS: fsName},
+							[]cluster.Tenant{{Name: "t0", NP: np, Strategy: strat, Dir: "ckpt"}}, false)
+						if err != nil {
+							t.Fatal(err)
 						}
+						agg := cr.Jobs[0].Res.Checkpoints[0]
+						rows = append(rows, FSRow{
+							FS: string(fsName), Strategy: strat.Name(), NP: np,
+							GBps: GB(agg.Bandwidth()), StepSec: agg.StepTime(),
+						})
 					}
-					checkGolden(t, "machine_fscompare_"+name+".golden", FSComparisonTable(rows))
-				})
-			}
+				}
+				checkGolden(t, "machine_fscompare_"+name+".golden", FSComparisonTable(rows))
+			})
 		}
 	}
 }
 
 // TestClusterDeterminism pins the multi-tenant determinism contract: the
-// colliding storm renders byte-identically on the serial kernel, the
-// sharded kernel at different shard counts, and under GOMAXPROCS=1.
+// colliding storm renders byte-identically on a rerun and under
+// GOMAXPROCS=1.
 func TestClusterDeterminism(t *testing.T) {
-	stormSharded := func(shards int) string {
-		r, err := CkptStorm(Options{Seed: 5, Shards: shards}, 256, 2)
+	storm := func() string {
+		r, err := CkptStorm(Options{Seed: 5}, 256, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r.Table() + r.SummaryTable()
 	}
-	storm := func() string { return stormSharded(0) }
 	want := storm()
 	if again := storm(); again != want {
 		t.Errorf("serial rerun diverged:\n%s\nvs\n%s", again, want)
 	}
-	for _, shards := range []int{2, 4} {
-		if got := stormSharded(shards); got != want {
-			t.Errorf("shards=%d diverged from serial:\n%s\nvs\n%s", shards, got, want)
-		}
-	}
 	old := runtime.GOMAXPROCS(1)
-	got := stormSharded(4)
+	got := storm()
 	runtime.GOMAXPROCS(old)
 	if got != want {
 		t.Errorf("GOMAXPROCS=1 diverged:\n%s\nvs\n%s", got, want)

@@ -56,15 +56,6 @@ type Options struct {
 	// deterministic per-run, so the worker count changes wall-clock time
 	// only, never results.
 	Parallel int
-	// Shards enables the partitioned parallel kernel inside each
-	// simulation: the event space splits into one sub-kernel per pset,
-	// advancing in conservative lookahead windows executed by this many
-	// worker threads. 0 or 1 keep the serial kernel. Sharded runs are
-	// byte-identical to serial ones for every shard count (the
-	// sharded-equivalence goldens pin it), so the knob trades nothing but
-	// wall-clock. Jobs that inject faults or collect per-op logs fall back
-	// to the serial kernel.
-	Shards int
 	// Trace, when set, attaches a fresh trace.Recorder to every simulation
 	// kernel the experiment builds and collects one entry per run. Tracing
 	// never perturbs simulated time: results are byte-identical with and
@@ -176,22 +167,9 @@ func runCheckpoint(o Options, j Job) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The partitioned kernel must be enabled before any process spawns
-	// (storage servers included). Faulted and per-op-logged jobs stay on the
-	// serial kernel: fault events mutate shared machine state from schedule
-	// context, and the op log appends from every rank.
-	if o.Shards > 1 && j.Faults == nil && !j.WithLog && m.NumPsets() > 1 {
-		k.EnableSharding(m.NumPsets(), o.Shards, m.Lookahead(), o.seed())
-	}
 	fs, stats, err := buildFS(o, m, backend)
 	if err != nil {
 		return nil, err
-	}
-	runFS := fs
-	if k.Sharded() {
-		// Storage state is global to the machine: route every time-charging
-		// file-system call through the exclusive lane.
-		runFS = fsys.Guard(fs)
 	}
 	var inj *fault.Injector
 	if j.Faults != nil {
@@ -241,7 +219,7 @@ func runCheckpoint(o Options, j Job) (*Run, error) {
 			Rec:      rec,
 		})
 	}
-	res, err := nekcem.Run(w, runFS, rcfg)
+	res, err := nekcem.Run(w, fs, rcfg)
 	if err != nil {
 		if j.Faults != nil && fsys.Unavailable(err) {
 			// A strategy without a fault-aware path hit dead storage

@@ -67,9 +67,12 @@ func Map(policy string) Option { return func(o *Options) { o.Map = policy } }
 // Parallel sets the experiment worker-pool size (<= 0 means one per CPU).
 func Parallel(n int) Option { return func(o *Options) { o.Parallel = n } }
 
-// Shards sets the partitioned-kernel worker count inside each simulation
-// (0 or 1 keep the serial kernel).
-func Shards(n int) Option { return func(o *Options) { o.Shards = n } }
+// Shards is a no-op kept so existing callers still compile.
+//
+// Deprecated: the partitioned kernel it used to enable was removed; every
+// simulation runs on the serial kernel. Use Parallel for fan-out across
+// simulations.
+func Shards(int) Option { return func(*Options) {} }
 
 // Quiet disables the shared-storage noise model.
 func Quiet() Option { return func(o *Options) { o.Quiet = true } }

@@ -113,7 +113,7 @@ func runRecoveryCell(o Options, np int, strat ckpt.Strategy, segCkpts, work, ce 
 		// ClassifyKills sees one consistent number per event.
 		b.OnLost(func(_ int, bytes int64, t float64) { log.BufferLoss(bytes, t) })
 	}
-	if di, ok := fsys.AsDrainInfo(fs); ok {
+	if di, ok := fs.(fsys.DrainInfo); ok {
 		// Epoch seals defer to the fleet's drain horizon: absorption is not
 		// durability, so a commit only counts once its bytes are expected
 		// off the staging tier.

@@ -140,18 +140,6 @@ type LinkConfig struct {
 	InjectLat  float64 // software send overhead in seconds
 }
 
-// MinLatency returns the smallest virtual latency any message crossing at
-// least hops links can experience under these parameters: the software
-// injection overhead plus the per-hop router delays. Serialization time
-// only adds to it, so this is a safe conservative-lookahead floor for the
-// partitioned simulation kernel.
-func (c LinkConfig) MinLatency(hops int) float64 {
-	if hops < 1 {
-		hops = 1
-	}
-	return c.InjectLat + float64(hops)*c.HopLatency
-}
-
 // TorusConfig is the historical name of LinkConfig, from when the torus was
 // the only interconnect the simulator knew.
 type TorusConfig = LinkConfig

@@ -9,27 +9,3 @@ package fsys
 type DrainInfo interface {
 	DrainHorizon() float64
 }
-
-// Unwrapper is implemented by decorators (fsys.Guard) that wrap another
-// System.
-type Unwrapper interface {
-	Unwrap() System
-}
-
-// AsDrainInfo reports the DrainInfo behind fs, unwrapping decorators such
-// as fsys.Guard. The horizon read is introspection (state whose writes are
-// all exclusive-lane), so bypassing the guard's shared-section bracketing
-// is safe for the same reason Exists and FileSize pass through it.
-func AsDrainInfo(fs System) (DrainInfo, bool) {
-	for fs != nil {
-		if d, ok := fs.(DrainInfo); ok {
-			return d, true
-		}
-		u, ok := fs.(Unwrapper)
-		if !ok {
-			return nil, false
-		}
-		fs = u.Unwrap()
-	}
-	return nil, false
-}

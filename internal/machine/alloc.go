@@ -62,9 +62,7 @@ func (a *Alloc) nodeOfGlobal(rank int) int {
 }
 
 // Allocator carves disjoint pset-aligned node spans out of one machine for
-// concurrent tenants. It is not safe for concurrent use; under a sharded
-// kernel all allocation must happen before the kernel runs (the cluster
-// scheduler enforces this).
+// concurrent tenants. It is not safe for concurrent use.
 type Allocator struct {
 	m    *Machine
 	free []nodeSpan // sorted by start, coalesced

@@ -122,56 +122,6 @@ func (ic *Interconnect) priceRoute(route []int, start float64, size int64) (arri
 	return arrival
 }
 
-// Port is a lane-private routing context over the shared engine for the
-// partitioned kernel: its own route scratch and, for topologies that keep
-// internal routing scratch (the torus hop buffer), a private routing view,
-// so concurrent lanes never share a buffer. The contention state (link and
-// injection frontiers) stays on the engine — the kernel's route-safety gate
-// (Machine.RouteSafePsets) guarantees concurrent lanes touch disjoint links
-// and inject only from their own nodes, and exclusive-lane traffic never
-// overlaps a window, so every link's update order matches the serial run.
-type Port struct {
-	ic       *Interconnect
-	topo     Topology
-	routeBuf []int
-}
-
-// NewPort returns a routing context safe to use from one kernel lane.
-func (ic *Interconnect) NewPort() *Port {
-	return &Port{ic: ic, topo: cloneRouter(ic.topo)}
-}
-
-// cloneRouter returns a routing view with private scratch when the topology
-// carries any; stateless topologies are shared as-is.
-func cloneRouter(t Topology) Topology {
-	if c, ok := t.(interface{ cloneRouter() Topology }); ok {
-		return c.cloneRouter()
-	}
-	return t
-}
-
-// Inject is Interconnect.Inject through the port. The injection frontier is
-// per source node, which belongs to exactly one lane.
-func (p *Port) Inject(now float64, src int, size int64) (injectDone float64) {
-	return p.ic.Inject(now, src, size)
-}
-
-// Transfer is Interconnect.Transfer through the port's private route
-// scratch. Counter tracing is safe here: the kernel runs lanes on a single
-// worker whenever a recorder is attached.
-func (p *Port) Transfer(start float64, src, dst int, size int64) (arrival float64) {
-	ic := p.ic
-	if ic.rec != nil {
-		ic.rec.Add(trace.LayerFabric, ic.msgsCtr, 1)
-		ic.rec.Add(trace.LayerFabric, ic.bytesCtr, size)
-	}
-	if src == dst {
-		return start + ic.cfg.HopLatency
-	}
-	p.routeBuf = p.topo.AppendRoute(p.routeBuf[:0], src, dst)
-	return ic.priceRoute(p.routeBuf, start, size)
-}
-
 // SetLinkDegrade scales link idx's effective bandwidth by factor for future
 // transfers (fault injection: a flapping or half-duplex fabric link).
 // factor 0 or >= 1 restores full bandwidth; while no link is degraded the

@@ -19,10 +19,6 @@ func NewTorusTopology(n int) *TorusTopology {
 	return &TorusTopology{T: topo.Dims(n)}
 }
 
-// cloneRouter gives a lane-private routing view: the geometry is a pure
-// value, only the hop buffer must not be shared.
-func (t *TorusTopology) cloneRouter() Topology { return &TorusTopology{T: t.T} }
-
 // Name implements Topology.
 func (t *TorusTopology) Name() string { return "torus" }
 

@@ -62,11 +62,19 @@ type World struct {
 	K   *sim.Kernel
 	cfg Config
 
-	base   int // first global rank id; ranks[i] has id base+i
-	ranks  []*Rank
-	world  *Comm
-	shared *laneMPI   // registries and pools for serial and exclusive-lane use
-	lanes  []*laneMPI // per-pset resource sets; nil unless the kernel is pset-sharded
+	base  int // first global rank id; ranks[i] has id base+i
+	ranks []*Rank
+	world *Comm
+
+	// Collective registries, keyed by (communicator, collective sequence).
+	splitReg   map[splitKey]*splitEntry
+	barriers   map[splitKey]*barrierState
+	values     map[splitKey]*valueEntry
+	nextCommID int
+
+	msgPool  []*message  // free list of consumed messages
+	sendPool []*sendHook // free list of fired send hooks
+	wakePool []*wakeHook // free list of fired wake hooks
 
 	// rec caches the kernel's trace recorder at world construction. Every
 	// instrumentation point below guards on it being non-nil, which is the
@@ -93,34 +101,6 @@ type splitEntry struct {
 	comms map[int64]*Comm // color -> communicator
 }
 
-// laneMPI is one execution context's slice of the runtime's mutable state:
-// collective registries (splits, barriers, shared values), a communicator-id
-// namespace, the object pools, and a fabric routing port. The serial kernel
-// and the exclusive lane use the world's single shared set; under a
-// pset-partitioned kernel every pset additionally gets a private set, so
-// operations on pset-local communicators touch no globally shared structure
-// and their lanes may run concurrently.
-type laneMPI struct {
-	splitReg   map[splitKey]*splitEntry
-	barriers   map[splitKey]*barrierState
-	values     map[splitKey]*valueEntry
-	nextCommID int
-	msgPool    []*message    // free list of consumed messages
-	sendPool   []*sendHook   // free list of fired send hooks
-	wakePool   []*wakeHook   // free list of fired wake hooks
-	port       *machine.Port // lane-private route scratch; nil on the shared set
-	safe       bool          // pset's internal routes touch no other pset's links
-}
-
-func newLaneMPI() *laneMPI {
-	return &laneMPI{
-		splitReg:   make(map[splitKey]*splitEntry),
-		barriers:   make(map[splitKey]*barrierState),
-		values:     make(map[splitKey]*valueEntry),
-		nextCommID: 1,
-	}
-}
-
 // NewWorld creates the MPI runtime over a whole machine.
 func NewWorld(m *machine.Machine, cfg Config) *World {
 	return buildWorld(m, cfg, 0, m.Cfg.Ranks)
@@ -138,21 +118,15 @@ func NewWorldOn(m *machine.Machine, a *machine.Alloc, cfg Config) *World {
 
 func buildWorld(m *machine.Machine, cfg Config, base, size int) *World {
 	w := &World{
-		M:      m,
-		K:      m.K,
-		cfg:    cfg,
-		base:   base,
-		shared: newLaneMPI(),
-		rec:    m.K.Recorder(),
-	}
-	if m.K.Sharded() && m.K.NumPartitions() == m.NumPsets() {
-		safe := m.RouteSafePsets()
-		w.lanes = make([]*laneMPI, m.NumPsets())
-		for p := range w.lanes {
-			w.lanes[p] = newLaneMPI()
-			w.lanes[p].safe = safe[p]
-			w.lanes[p].port = m.Net.NewPort()
-		}
+		M:          m,
+		K:          m.K,
+		cfg:        cfg,
+		base:       base,
+		splitReg:   make(map[splitKey]*splitEntry),
+		barriers:   make(map[splitKey]*barrierState),
+		values:     make(map[splitKey]*valueEntry),
+		nextCommID: 1,
+		rec:        m.K.Recorder(),
 	}
 	w.ranks = make([]*Rank, size)
 	members := make([]int, size)
@@ -164,8 +138,7 @@ func buildWorld(m *machine.Machine, cfg Config, base, size int) *World {
 		}
 		members[i] = base + i
 	}
-	part := w.commPart(members)
-	w.world = &Comm{w: w, id: 0, members: members, ident: true, off: base, part: part, lane: w.laneOK(part)}
+	w.world = &Comm{w: w, id: 0, members: members, ident: true, off: base}
 	return w
 }
 
@@ -173,63 +146,10 @@ func buildWorld(m *machine.Machine, cfg Config, base, size int) *World {
 // whole-machine world).
 func (w *World) Base() int { return w.base }
 
-// commPart returns the pset every member of a prospective communicator
-// lives in, or -1 when the group spans psets or the kernel is not
-// pset-sharded.
-func (w *World) commPart(members []int) int {
-	if w.lanes == nil || len(members) == 0 {
-		return -1
-	}
-	p := w.M.PsetOfRank(members[0])
-	for _, m := range members[1:] {
-		if w.M.PsetOfRank(m) != p {
-			return -1
-		}
-	}
-	return p
-}
-
-// laneOK reports whether a communicator confined to pset part may run its
-// operations on that pset's lane: the pset's internal routes must be
-// link-disjoint from every other pset's (machine.RouteSafePsets).
-func (w *World) laneOK(part int) bool {
-	return part >= 0 && w.lanes[part].safe
-}
-
-// regFor returns the resource set owning communicator c's registries and
-// id namespace. A lane communicator's registries are touched only by its
-// own pset's ranks — on that pset's lane or on the exclusive lane, never
-// from two lanes at once — so the per-communicator choice is deterministic
-// and race-free.
-func (w *World) regFor(c *Comm) *laneMPI {
-	if c.lane {
-		return w.lanes[c.part]
-	}
-	return w.shared
-}
-
-// poolFor returns the object pool for p's current execution context. The
-// pools are plain free lists — an object taken from one may be returned to
-// another — so only freedom from races matters, and a process on a running
-// lane is the only code touching that lane's pool.
-func (w *World) poolFor(p *sim.Proc) *laneMPI {
-	if w.lanes != nil && p.OnLane() {
-		return w.lanes[p.Part()]
-	}
-	return w.shared
-}
-
-// laneCommShift namespaces communicator ids minted by lane-local splits:
-// lane p mints (p+1)<<32 | n while the shared namespace counts from 1, so
-// ids stay unique and deterministic without cross-lane coordination.
-const laneCommShift = 32
-
-func (ln *laneMPI) newCommID(part int) int {
-	id := ln.nextCommID
-	ln.nextCommID++
-	if part >= 0 {
-		return (part+1)<<laneCommShift | id
-	}
+// newCommID mints a fresh communicator id; the world communicator is 0.
+func (w *World) newCommID() int {
+	id := w.nextCommID
+	w.nextCommID++
 	return id
 }
 
@@ -246,12 +166,7 @@ func (w *World) Spawn(body func(c *Comm, r *Rank)) {
 	for _, r := range w.ranks {
 		r := r
 		name := fmt.Sprintf("rank%d", r.id)
-		fn := func(p *sim.Proc) { body(w.world, r) }
-		if w.lanes != nil {
-			r.proc = w.K.GoPart(w.M.PsetOfRank(r.id), name, fn)
-		} else {
-			r.proc = w.K.Go(name, fn)
-		}
+		r.proc = w.K.Go(name, func(p *sim.Proc) { body(w.world, r) })
 	}
 }
 
@@ -308,22 +223,22 @@ type message struct {
 // the (pooled) message itself makes scheduling a delivery allocation-free.
 func (m *message) Fire() { m.dst.deliver(m) }
 
-// getMsg takes a message from the context's free list; Recv returns
+// getMsg takes a message from the world's free list; Recv returns
 // consumed messages with putMsg. The pool turns the per-send message+closure
 // garbage — millions of objects per simulation — into a handful of live
 // objects.
-func (ln *laneMPI) getMsg() *message {
-	if n := len(ln.msgPool); n > 0 {
-		m := ln.msgPool[n-1]
-		ln.msgPool = ln.msgPool[:n-1]
+func (w *World) getMsg() *message {
+	if n := len(w.msgPool); n > 0 {
+		m := w.msgPool[n-1]
+		w.msgPool = w.msgPool[:n-1]
 		return m
 	}
 	return &message{}
 }
 
-func (ln *laneMPI) putMsg(m *message) {
+func (w *World) putMsg(m *message) {
 	*m = message{}
-	ln.msgPool = append(ln.msgPool, m)
+	w.msgPool = append(w.msgPool, m)
 }
 
 // sendHook performs a blocking send's physical movement — DMA injection,
@@ -339,7 +254,6 @@ type sendHook struct {
 	dst       *Rank
 	localDone float64
 	resume    float64 // localDone - fire time, precomputed at post time
-	port      *machine.Port
 	src       int
 	tag       int
 	comm      int
@@ -352,31 +266,23 @@ type sendHook struct {
 // number at the same instant as the inline code did, so every same-timestamp
 // tie-break is preserved bit for bit. The resume delay is precomputed — the
 // hook always fires exactly at the send-call instant, so localDone minus the
-// clock is a constant the poster already knows, and not reading the clock
-// here keeps the hook correct on a partition lane.
+// clock is a constant the poster already knows.
 func (h *sendHook) Fire() {
 	w := h.w
-	var injDone, arrival float64
-	if h.port != nil {
-		injDone = h.port.Inject(h.localDone, h.srcNode, h.buf.Len())
-		arrival = h.port.Transfer(injDone, h.srcNode, h.dst.node, h.buf.Len())
-	} else {
-		injDone = w.M.Net.Inject(h.localDone, h.srcNode, h.buf.Len())
-		arrival = w.M.Net.Transfer(injDone, h.srcNode, h.dst.node, h.buf.Len())
-	}
-	msg := w.poolFor(h.dst.proc).getMsg()
+	injDone := w.M.Net.Inject(h.localDone, h.srcNode, h.buf.Len())
+	arrival := w.M.Net.Transfer(injDone, h.srcNode, h.dst.node, h.buf.Len())
+	msg := w.getMsg()
 	*msg = message{src: h.src, tag: h.tag, comm: h.comm, buf: h.buf, dst: h.dst}
-	w.K.AtHookCtx(h.dst.proc, arrival, msg)
+	w.K.AtHook(arrival, msg)
 	h.sender.UnparkAfter(h.resume)
-	pool := w.poolFor(h.sender)
 	*h = sendHook{}
-	pool.sendPool = append(pool.sendPool, h)
+	w.sendPool = append(w.sendPool, h)
 }
 
-func (ln *laneMPI) getSendHook() *sendHook {
-	if n := len(ln.sendPool); n > 0 {
-		h := ln.sendPool[n-1]
-		ln.sendPool = ln.sendPool[:n-1]
+func (w *World) getSendHook() *sendHook {
+	if n := len(w.sendPool); n > 0 {
+		h := w.sendPool[n-1]
+		w.sendPool = w.sendPool[:n-1]
 		return h
 	}
 	return &sendHook{}
@@ -395,26 +301,19 @@ type wakeHook struct {
 
 func (h *wakeHook) Fire() {
 	h.p.UnparkAfter(h.d)
-	pool := h.w.poolFor(h.p)
+	w := h.w
 	*h = wakeHook{}
-	pool.wakePool = append(pool.wakePool, h)
+	w.wakePool = append(w.wakePool, h)
 }
 
-func (ln *laneMPI) getWakeHook() *wakeHook {
-	if n := len(ln.wakePool); n > 0 {
-		h := ln.wakePool[n-1]
-		ln.wakePool = ln.wakePool[:n-1]
+func (w *World) getWakeHook() *wakeHook {
+	if n := len(w.wakePool); n > 0 {
+		h := w.wakePool[n-1]
+		w.wakePool = w.wakePool[:n-1]
 		return h
 	}
 	return &wakeHook{}
 }
-
-// timeoutHook adapts a closure to sim.Hook for the receive-deadline timer,
-// so the timer can be scheduled on the calendar of the receiver's own
-// execution context.
-type timeoutHook func()
-
-func (f timeoutHook) Fire() { f() }
 
 type recvWant struct {
 	src      int // world rank or AnySource
@@ -438,10 +337,10 @@ func (r *Rank) deliver(m *message) {
 		r.want.got = m
 		r.want = nil
 		cfg := r.w.cfg
-		h := r.w.poolFor(r.proc).getWakeHook()
+		h := r.w.getWakeHook()
 		*h = wakeHook{w: r.w, p: r.proc,
 			d: cfg.RecvOverhead + float64(m.buf.Len())/cfg.LocalCopyBW}
-		r.w.K.AfterHookCtx(r.proc, 0, h)
+		r.w.K.AfterHook(0, h)
 		return
 	}
 	r.inbox = append(r.inbox, m)
@@ -512,46 +411,6 @@ type Comm struct {
 	members []int // world ranks; index == comm rank
 	ident   bool  // members[i] == off+i: comm rank is world rank minus off
 	off     int   // the contiguous run's base when ident
-
-	// part is the single pset all members live in, -1 when the group spans
-	// psets or the kernel is not pset-sharded. lane marks a communicator
-	// whose whole traffic may be priced on that pset's partition lane
-	// (part >= 0 and the pset's routes are link-disjoint from every other
-	// pset's). Message matching is per communicator, so the lane/shared
-	// choice is made once per communicator, never per message — all traffic
-	// of one communicator flows through one context.
-	part int
-	lane bool
-}
-
-// enter opens the shared section a non-lane operation must run in: any
-// communicator that spans psets (or whose pset shares fabric links with
-// another) keeps its matching state, registries, and fabric traffic on the
-// globally-ordered exclusive lane. Lane communicators skip it, and on a
-// serial kernel it only bumps a counter. Every enter pairs with an exit;
-// nested sections (a collective built from sends and receives) collapse
-// into the outermost one.
-func (c *Comm) enter(r *Rank) {
-	if !c.lane {
-		r.proc.EnterShared()
-	}
-}
-
-func (c *Comm) exit(r *Rank) {
-	if !c.lane {
-		r.proc.ExitShared()
-	}
-}
-
-// port returns the lane-private fabric port for a lane communicator, nil
-// for traffic priced on the shared engine. A lane communicator's port is
-// also safe from the exclusive lane (no window runs concurrently with
-// exclusive code), so the choice is static per communicator.
-func (c *Comm) port() *machine.Port {
-	if c.lane {
-		return c.w.lanes[c.part].port
-	}
-	return nil
 }
 
 // identOff reports whether members is a contiguous ascending run (base+i at
@@ -609,7 +468,6 @@ func (c *Comm) isend(r *Rank, dst, tag int, buf data.Buf) (doneAt, start float64
 	if r.w.rec != nil {
 		prevLayer = r.w.K.SetLayer(trace.LayerMPI)
 	}
-	c.enter(r)
 	start = r.Now()
 	cfg := r.w.cfg
 	// The call itself costs the software overhead.
@@ -626,18 +484,11 @@ func (c *Comm) isend(r *Rank, dst, tag int, buf data.Buf) (doneAt, start float64
 	dstWorld := c.members[dst]
 	dstRank := r.w.rankOf(dstWorld)
 	// Physical movement: DMA injection, then the fabric.
-	var injDone, arrival float64
-	if p := c.port(); p != nil {
-		injDone = p.Inject(localDone, r.node, buf.Len())
-		arrival = p.Transfer(injDone, r.node, dstRank.node, buf.Len())
-	} else {
-		injDone = r.w.M.Net.Inject(localDone, r.node, buf.Len())
-		arrival = r.w.M.Net.Transfer(injDone, r.node, dstRank.node, buf.Len())
-	}
-	msg := r.w.poolFor(r.proc).getMsg()
+	injDone := r.w.M.Net.Inject(localDone, r.node, buf.Len())
+	arrival := r.w.M.Net.Transfer(injDone, r.node, dstRank.node, buf.Len())
+	msg := r.w.getMsg()
 	*msg = message{src: r.id, tag: tag, comm: c.id, buf: buf, dst: dstRank}
-	r.w.K.AtHookCtx(dstRank.proc, arrival, msg)
-	c.exit(r)
+	r.w.K.AtHook(arrival, msg)
 	if r.w.rec != nil {
 		rec := r.proc.Rec()
 		rec.Span(trace.LayerMPI, "mpi.isend", r.id, start, localDone, buf.Len())
@@ -663,26 +514,22 @@ func (c *Comm) Send(r *Rank, dst, tag int, buf data.Buf) {
 		prevLayer = r.w.K.SetLayer(trace.LayerMPI)
 		t0 = r.Now()
 	}
-	if !c.lane && r.w.lanes != nil {
-		c.sendShared(r, dst, tag, buf)
-	} else {
-		cfg := r.w.cfg
-		tCall := r.Now() + cfg.SendOverhead
-		copyStart := tCall
-		if r.sendBusyUntil > copyStart {
-			copyStart = r.sendBusyUntil
-		}
-		localDone := copyStart + float64(buf.Len())/cfg.LocalCopyBW
-		r.sendBusyUntil = localDone
-		h := r.w.poolFor(r.proc).getSendHook()
-		*h = sendHook{
-			w: r.w, sender: r.proc, srcNode: r.node, dst: r.w.rankOf(c.members[dst]),
-			localDone: localDone, resume: localDone - tCall, port: c.port(),
-			src: r.id, tag: tag, comm: c.id, buf: buf,
-		}
-		r.w.K.AtHookCtx(r.proc, tCall, h)
-		r.proc.Park() // the hook resumes us at localDone
+	cfg := r.w.cfg
+	tCall := r.Now() + cfg.SendOverhead
+	copyStart := tCall
+	if r.sendBusyUntil > copyStart {
+		copyStart = r.sendBusyUntil
 	}
+	localDone := copyStart + float64(buf.Len())/cfg.LocalCopyBW
+	r.sendBusyUntil = localDone
+	h := r.w.getSendHook()
+	*h = sendHook{
+		w: r.w, sender: r.proc, srcNode: r.node, dst: r.w.rankOf(c.members[dst]),
+		localDone: localDone, resume: localDone - tCall,
+		src: r.id, tag: tag, comm: c.id, buf: buf,
+	}
+	r.w.K.AtHook(tCall, h)
+	r.proc.Park() // the hook resumes us at localDone
 	if r.w.rec != nil {
 		rec := r.proc.Rec()
 		rec.Span(trace.LayerMPI, "mpi.send", r.id, t0, r.Now(), buf.Len())
@@ -690,32 +537,6 @@ func (c *Comm) Send(r *Rank, dst, tag int, buf data.Buf) {
 		rec.Add(trace.LayerMPI, "mpi.bytes", buf.Len())
 		r.w.K.SetLayer(prevLayer)
 	}
-}
-
-// sendShared is the blocking send for communicators kept on the exclusive
-// lane. The sendHook exists to let a serial Send yield exactly once; a
-// cross-pset send under a partitioned kernel must suspend into a shared
-// section anyway, so it performs the identical arithmetic inline, at the
-// identical simulated instants the serial hook fires at — overhead end,
-// buffer handoff, injection, traversal, delivery, local completion.
-func (c *Comm) sendShared(r *Rank, dst, tag int, buf data.Buf) {
-	r.proc.EnterShared()
-	cfg := r.w.cfg
-	r.proc.Sleep(cfg.SendOverhead)
-	copyStart := r.Now()
-	if r.sendBusyUntil > copyStart {
-		copyStart = r.sendBusyUntil
-	}
-	localDone := copyStart + float64(buf.Len())/cfg.LocalCopyBW
-	r.sendBusyUntil = localDone
-	dstRank := r.w.rankOf(c.members[dst])
-	injDone := r.w.M.Net.Inject(localDone, r.node, buf.Len())
-	arrival := r.w.M.Net.Transfer(injDone, r.node, dstRank.node, buf.Len())
-	msg := r.w.poolFor(r.proc).getMsg()
-	*msg = message{src: r.id, tag: tag, comm: c.id, buf: buf, dst: dstRank}
-	r.w.K.AtHookCtx(dstRank.proc, arrival, msg)
-	r.proc.SleepUntil(localDone)
-	r.proc.ExitShared()
 }
 
 // RecvRequest is an outstanding non-blocking receive posted with Irecv.
@@ -761,7 +582,6 @@ func (c *Comm) Recv(r *Rank, src, tag int) (data.Buf, int) {
 		}
 		srcWorld = c.members[src]
 	}
-	c.enter(r)
 	want := &recvWant{src: srcWorld, tag: tag, comm: c.id}
 	var got *message
 	// First match against already-arrived messages, in arrival order.
@@ -777,8 +597,7 @@ func (c *Comm) Recv(r *Rank, src, tag int) (data.Buf, int) {
 		r.proc.Park() // deliver's wakeHook resumes us past overhead and copy
 		got = want.got
 		buf, srcWorld := got.buf, got.src
-		r.w.poolFor(r.proc).putMsg(got)
-		c.exit(r)
+		r.w.putMsg(got)
 		if r.w.rec != nil {
 			r.proc.Rec().Span(trace.LayerMPI, "mpi.recv", r.id, t0, r.Now(), buf.Len())
 			r.w.K.SetLayer(prevLayer)
@@ -787,9 +606,8 @@ func (c *Comm) Recv(r *Rank, src, tag int) (data.Buf, int) {
 	}
 	cfg := r.w.cfg
 	buf, srcWorld := got.buf, got.src
-	r.w.poolFor(r.proc).putMsg(got) // consumed: back to the pool before yielding
+	r.w.putMsg(got) // consumed: back to the pool before yielding
 	r.proc.Sleep(cfg.RecvOverhead + float64(buf.Len())/cfg.LocalCopyBW)
-	c.exit(r)
 	if r.w.rec != nil {
 		r.proc.Rec().Span(trace.LayerMPI, "mpi.recv", r.id, t0, r.Now(), buf.Len())
 		r.w.K.SetLayer(prevLayer)
@@ -821,7 +639,6 @@ func (c *Comm) RecvTimeout(r *Rank, src, tag int, timeout float64) (data.Buf, in
 		}
 		srcWorld = c.members[src]
 	}
-	c.enter(r)
 	want := &recvWant{src: srcWorld, tag: tag, comm: c.id}
 	var got *message
 	for i, m := range r.inbox {
@@ -833,7 +650,7 @@ func (c *Comm) RecvTimeout(r *Rank, src, tag int, timeout float64) (data.Buf, in
 	}
 	if got == nil {
 		r.want = want
-		r.w.K.AfterHookCtx(r.proc, timeout, timeoutHook(func() {
+		r.w.K.After(timeout, func() {
 			// Only cancel if this exact receive is still posted: the pointer
 			// compare keeps a stale timer from touching a later receive.
 			if r.want == want {
@@ -841,10 +658,9 @@ func (c *Comm) RecvTimeout(r *Rank, src, tag int, timeout float64) (data.Buf, in
 				want.timedOut = true
 				r.proc.Unpark()
 			}
-		}))
+		})
 		r.proc.Park()
 		if want.timedOut {
-			c.exit(r)
 			if r.w.rec != nil {
 				r.proc.Rec().Span(trace.LayerMPI, "mpi.recv.timeout", r.id, t0, r.Now(), 0)
 				r.w.K.SetLayer(prevLayer)
@@ -853,8 +669,7 @@ func (c *Comm) RecvTimeout(r *Rank, src, tag int, timeout float64) (data.Buf, in
 		}
 		got = want.got
 		buf, srcWorld := got.buf, got.src
-		r.w.poolFor(r.proc).putMsg(got)
-		c.exit(r)
+		r.w.putMsg(got)
 		if r.w.rec != nil {
 			r.proc.Rec().Span(trace.LayerMPI, "mpi.recv", r.id, t0, r.Now(), buf.Len())
 			r.w.K.SetLayer(prevLayer)
@@ -863,9 +678,8 @@ func (c *Comm) RecvTimeout(r *Rank, src, tag int, timeout float64) (data.Buf, in
 	}
 	cfg := r.w.cfg
 	buf, srcWorld := got.buf, got.src
-	r.w.poolFor(r.proc).putMsg(got)
+	r.w.putMsg(got)
 	r.proc.Sleep(cfg.RecvOverhead + float64(buf.Len())/cfg.LocalCopyBW)
-	c.exit(r)
 	if r.w.rec != nil {
 		r.proc.Rec().Span(trace.LayerMPI, "mpi.recv", r.id, t0, r.Now(), buf.Len())
 		r.w.K.SetLayer(prevLayer)
@@ -914,24 +728,22 @@ func (c *Comm) Barrier(r *Rank) {
 		t0 = r.Now()
 	}
 	c.mustRank(r)
-	c.enter(r)
-	reg := c.w.regFor(c)
+	w := c.w
 	seq := bump(&r.collSeq, c.id)
 	key := splitKey{parent: c.id, seq: seq}
-	st, ok := reg.barriers[key]
+	st, ok := w.barriers[key]
 	if !ok {
 		st = &barrierState{}
-		reg.barriers[key] = st
+		w.barriers[key] = st
 	}
 	st.arrived++
 	if st.arrived == n {
-		delete(reg.barriers, key) // complete; reclaim
+		delete(w.barriers, key) // complete; reclaim
 		st.done.Fire()
 	} else {
 		st.done.Wait(r.proc)
 	}
 	r.proc.Sleep(HWBarrierLatency)
-	c.exit(r)
 	if r.w.rec != nil {
 		r.proc.Rec().Span(trace.LayerMPI, "mpi.barrier", r.id, t0, r.Now(), 0)
 		r.w.K.SetLayer(prevLayer)
@@ -994,23 +806,20 @@ func (c *Comm) BcastValueSized(r *Rank, root int, v any, size int64) any {
 	if len(c.members) == 1 {
 		return v
 	}
-	c.enter(r)
-	reg := c.w.regFor(c)
+	w := c.w
 	key := splitKey{parent: c.id, seq: peekSeq(r.collSeq, c.id)} // Bcast below consumes this seq
 	if c.mustRank(r) == root {
-		reg.values[key] = &valueEntry{v: v}
+		w.values[key] = &valueEntry{v: v}
 		c.Bcast(r, root, data.Synthetic(size))
-		c.exit(r)
 		return v
 	}
 	c.Bcast(r, root, data.Synthetic(size))
-	e := reg.values[key]
+	e := w.values[key]
 	out := e.v
 	e.readers++
 	if e.readers == len(c.members)-1 {
-		delete(reg.values, key)
+		delete(w.values, key)
 	}
-	c.exit(r)
 	return out
 }
 
@@ -1029,20 +838,18 @@ func (c *Comm) Shared(r *Rank, compute func() any) any {
 	if len(c.members) == 1 {
 		return compute()
 	}
-	c.enter(r)
-	reg := c.w.regFor(c)
+	w := c.w
 	seq := bump(&r.collSeq, c.id)
 	key := splitKey{parent: c.id, seq: seq}
-	e, ok := reg.values[key]
+	e, ok := w.values[key]
 	if !ok {
 		e = &valueEntry{v: compute()}
-		reg.values[key] = e
+		w.values[key] = e
 	}
 	e.readers++
 	if e.readers == len(c.members) {
-		delete(reg.values, key)
+		delete(w.values, key)
 	}
-	c.exit(r)
 	return e.v
 }
 
@@ -1216,15 +1023,10 @@ func (c *Comm) Split(r *Rank, color int64, key int64) *Comm {
 	colors := c.AllgatherInt64(r, color)
 	keys := c.AllgatherInt64(r, key)
 
-	c.enter(r)
-	reg := c.w.regFor(c)
-	regPart := -1
-	if c.lane {
-		regPart = c.part
-	}
+	w := c.w
 	seq := bump(&r.splitCount, c.id)
 	sk := splitKey{parent: c.id, seq: seq}
-	entry, ok := reg.splitReg[sk]
+	entry, ok := w.splitReg[sk]
 	if !ok {
 		entry = &splitEntry{comms: make(map[int64]*Comm)}
 		// Build every child communicator deterministically: colors sorted.
@@ -1258,16 +1060,13 @@ func (c *Comm) Split(r *Rank, color int64, key int64) *Comm {
 			// membership). The paper's strategies only split with
 			// key == parent rank, where the two orderings coincide.
 			sort.Ints(members)
-			part := c.w.commPart(members)
 			off, ident := identOff(members)
 			entry.comms[col] = &Comm{
-				w: c.w, id: reg.newCommID(regPart), members: members,
-				ident: ident, off: off, part: part, lane: c.w.laneOK(part),
+				w: w, id: w.newCommID(), members: members, ident: ident, off: off,
 			}
 		}
-		reg.splitReg[sk] = entry
+		w.splitReg[sk] = entry
 	}
-	c.exit(r)
 	return entry.comms[color]
 }
 

@@ -243,11 +243,11 @@ func Launch(w *mpi.World, fs fsys.System, cfg RunConfig) (*Pending, error) {
 	}
 	res := pe.res
 	env := &ckpt.Env{FS: fs, Dir: cfg.Dir, Log: cfg.Log, RankUp: cfg.RankUp, PeerTimeout: cfg.PeerTimeout, Epochs: cfg.Epochs}
-	// Ranks on different partition lanes of a sharded kernel run on
-	// different OS threads; everything they merge into across ranks is
-	// guarded by one mutex. Every merged quantity commutes (min/max,
-	// integer sums), so the aggregate is identical whatever order lanes
-	// reach it in.
+	// Every rank's goroutine merges into the aggregates below. The kernel
+	// runs one rank at a time, but the aggregates stay behind one mutex
+	// rather than lean on that scheduling guarantee. Every merged quantity
+	// commutes (min/max, integer sums), so the aggregate does not depend on
+	// the order ranks reach it in.
 	mu := &pe.mu
 	fail := func(err error) {
 		mu.Lock()
@@ -477,9 +477,8 @@ func (pe *Pending) Finish(runErr error) (*RunResult, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
-	// Serially, steps are first reached in ascending order; under a sharded
-	// kernel lanes may reach a step's aggregate in any real-time order, so
-	// sort to pin the serial presentation.
+	// Present checkpoints in step order, independent of which step's
+	// aggregate a rank happened to create first.
 	sort.Slice(pe.order, func(i, j int) bool { return pe.order[i] < pe.order[j] })
 	res := pe.res
 	res.Checkpoints = res.Checkpoints[:0]

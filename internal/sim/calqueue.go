@@ -171,22 +171,6 @@ func (c *calQueue) vb(t float64) uint64 { return uint64(t * c.inv) }
 // len reports the total number of queued events.
 func (c *calQueue) len() int { return c.n + len(c.ovf) }
 
-// forEach visits every queued event in unspecified order, handing out
-// pointers valid until the next push or pop. The sharded re-root uses it to
-// re-stamp origin chains in place; callers must never mutate t or seq, so
-// the calendar's internal (t, seq) order is unaffected.
-func (c *calQueue) forEach(fn func(*event)) {
-	for i := range c.buckets {
-		b := &c.buckets[i]
-		for j := b.head; j < len(b.evs); j++ {
-			fn(&b.evs[j])
-		}
-	}
-	for i := range c.ovf {
-		fn(&c.ovf[i])
-	}
-}
-
 // eventLess orders by (time, scheduling order). The top bits of seq carry
 // the scheduling layer's trace tag (see layerShift in kernel.go) and are
 // masked off here: layer tags must never influence dispatch order, or

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // popAll drains the queue, asserting monotone (t, seq) order.
@@ -153,5 +154,14 @@ func TestCalQueueInfinityAndHugeTimes(t *testing.T) {
 		if got[i].seq != w {
 			t.Fatalf("pop %d: seq %d, want %d", i, got[i].seq, w)
 		}
+	}
+}
+
+// TestEventIsCompact pins the calendar entry at 32 bytes (time, sequence
+// word, hook interface): the calendar's bucket and heap operations move
+// events by value, so every extra field is paid on each push and pop.
+func TestEventIsCompact(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Fatalf("sizeof(event) = %d bytes, want 32", got)
 	}
 }

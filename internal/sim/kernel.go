@@ -59,10 +59,6 @@ type Kernel struct {
 	layer  trace.Layer     // layer attributed to events scheduled now
 	ndisp  uint64          // events dispatched (maintained only while tracing)
 	nwoken uint64          // process resumes dispatched
-
-	sh     *shard   // nil = serial mode (see partition.go)
-	advLog []advRec // exclusive-lane clock advances, for the sharded merge
-	ctx    chainCtx // exclusive-lane origin-chain context (sharded mode only)
 }
 
 // Hook is a pre-allocated event action. Hot schedulers (the MPI transport's
@@ -79,17 +75,10 @@ func (f funcHook) Fire() { f() }
 // move as little memory as possible. h is either an action to fire or —
 // detected by type assertion in the dispatch loops — a *Proc to resume (the
 // pooled fast path: converting a *Proc to Hook allocates nothing).
-//
-// parent and idx are the sharded-mode origin-chain stamp (see chain.go):
-// the dispatch during which the event was inserted and its insert rank
-// there. Serial mode leaves them zero — the serial kernel never compares
-// events across calendars, and the calendar queues order by (t, seq) only.
 type event struct {
-	t      float64
-	seq    uint64
-	h      Hook
-	parent *chainNode
-	idx    uint64
+	t   float64
+	seq uint64
+	h   Hook
 }
 
 // NewKernel returns a kernel with the clock at zero.
@@ -121,14 +110,6 @@ func (k *Kernel) Recorder() *trace.Recorder { return k.rec }
 // phase) bracket themselves with it; everything in between — including
 // events their callees schedule — is attributed to that layer.
 func (k *Kernel) SetLayer(l trace.Layer) trace.Layer {
-	if k.sh != nil && k.sh.curPart != nil {
-		// Sharded lane running in the coordinator goroutine (tracing caps
-		// window workers at one): layer state is per-partition.
-		pt := k.sh.curPart
-		prev := pt.layer
-		pt.layer = l
-		return prev
-	}
 	prev := k.layer
 	k.layer = l
 	return prev
@@ -138,69 +119,40 @@ func (k *Kernel) SetLayer(l trace.Layer) trace.Layer {
 func (k *Kernel) Layer() trace.Layer { return k.layer }
 
 // At schedules fn to run at absolute simulation time t. Scheduling in the
-// past panics: the model has a causality bug. In sharded mode un-targeted
-// events go to the shared (exclusive) calendar; use AtHookPart/Post from
-// lane context.
-func (k *Kernel) At(t float64, fn func()) { k.insertAny(t, funcHook(fn)) }
+// past panics: the model has a causality bug.
+func (k *Kernel) At(t float64, fn func()) { k.insert(t, funcHook(fn)) }
 
 // After schedules fn to run d seconds from now.
 func (k *Kernel) After(d float64, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	k.insertAny(k.now+d, funcHook(fn))
+	k.insert(k.now+d, funcHook(fn))
 }
 
 // AtHook schedules h to fire at absolute simulation time t without
 // allocating: the caller owns (and may pool) the Hook.
-func (k *Kernel) AtHook(t float64, h Hook) { k.insertAny(t, h) }
+func (k *Kernel) AtHook(t float64, h Hook) { k.insert(t, h) }
 
 // AfterHook schedules h to fire d seconds from now.
 func (k *Kernel) AfterHook(d float64, h Hook) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	k.insertAny(k.now+d, h)
+	k.insert(k.now+d, h)
 }
 
 // AtProc schedules process p to resume at absolute simulation time t. It is
 // the allocation-free equivalent of At(t, func() { resume p }) for the
 // kernel's hottest path: Sleep, Unpark and Go all schedule process resumes.
-func (k *Kernel) AtProc(t float64, p *Proc) {
-	if k.sh == nil {
-		k.insert(t, p)
-		return
-	}
-	k.insertProcSharded(t, p)
-}
+func (k *Kernel) AtProc(t float64, p *Proc) { k.insert(t, p) }
 
-// AfterProc schedules process p to resume d seconds from now — in sharded
-// mode, relative to the clock governing p's resume context: the target's
-// lane clock when that lane is running (the waker shares it), the
-// exclusive clock otherwise.
+// AfterProc schedules process p to resume d seconds from now.
 func (k *Kernel) AfterProc(d float64, p *Proc) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	if k.sh == nil {
-		k.insert(k.now+d, p)
-		return
-	}
-	base := k.now
-	if p.part != nil && p.part.active {
-		base = p.part.now
-	}
-	k.insertProcSharded(base+d, p)
-}
-
-// insertAny routes a plain (non-process) insert: the single calendar in
-// serial mode, the shared calendar in sharded mode.
-func (k *Kernel) insertAny(t float64, h Hook) {
-	if k.sh == nil {
-		k.insert(t, h)
-		return
-	}
-	k.insertShared(t, h)
+	k.insert(k.now+d, p)
 }
 
 func (k *Kernel) insert(t float64, h Hook) {
@@ -231,29 +183,14 @@ func (k *Kernel) observe(ev event) {
 }
 
 // DeadlockError reports processes still blocked when the event calendar
-// drained. In sharded mode it aggregates parked processes across every
-// partition and the exclusive lane, and Parts records each process's
-// partition (parallel to Procs; -1 = the shared/exclusive lane). Parts is
-// nil for serial runs.
+// drained.
 type DeadlockError struct {
 	Procs []string // names of parked processes
-	Parts []int    // owning partition per process, nil in serial mode
 }
 
 func (e *DeadlockError) Error() string {
-	if e.Parts != nil {
-		return fmt.Sprintf("sim: deadlock: %d processes still parked (first: %s %s)",
-			len(e.Procs), e.Procs[0], partLabel(e.Parts[0]))
-	}
 	return fmt.Sprintf("sim: deadlock: %d processes still parked (first: %s)",
 		len(e.Procs), e.Procs[0])
-}
-
-func partLabel(part int) string {
-	if part < 0 {
-		return "[shared]"
-	}
-	return fmt.Sprintf("[part %d]", part)
 }
 
 // Run executes events until the calendar is empty. It returns a
@@ -266,11 +203,6 @@ func (k *Kernel) Run() error {
 	k.running = true
 	k.horizon = math.Inf(1)
 	defer func() { k.running = false }()
-	if k.sh != nil {
-		k.runSharded()
-		k.finishSharded()
-		return k.shardedDeadlock()
-	}
 	k.dispatchMain()
 	if k.nparked > 0 {
 		names := make([]string, 0, k.nparked)
@@ -289,22 +221,6 @@ func (k *Kernel) Run() error {
 func (k *Kernel) RunUntil(t float64) {
 	prev := k.horizon
 	k.horizon = t
-	if k.sh != nil {
-		k.runSharded()
-		k.horizon = prev
-		k.finishSharded()
-		if t > k.now {
-			if k.rec != nil && t > k.sh.advClock {
-				k.rec.Advance(trace.LayerKernel, k.sh.advClock, t)
-				k.sh.advClock = t
-			}
-			k.now = t
-			for _, pt := range k.sh.parts {
-				pt.now = t
-			}
-		}
-		return
-	}
 	k.dispatchMain()
 	k.horizon = prev
 	if t > k.now {
@@ -422,39 +338,16 @@ func (k *Kernel) dispatchEnd() {
 }
 
 // Pending reports the number of events still scheduled.
-func (k *Kernel) Pending() int {
-	if k.sh != nil {
-		return k.shardedPending()
-	}
-	return k.cal.len()
-}
+func (k *Kernel) Pending() int { return k.cal.len() }
 
 // Events reports the total number of events ever scheduled — the natural
-// denominator for events-per-second throughput measurements. In sharded
-// mode this sums the shared calendar's counter with every partition's;
-// the total is identical to the serial run's (the same inserts happen,
-// only their routing differs).
-func (k *Kernel) Events() uint64 {
-	if k.sh != nil {
-		return k.shardedEvents()
-	}
-	return k.seq
-}
+// denominator for events-per-second throughput measurements.
+func (k *Kernel) Events() uint64 { return k.seq }
 
 // Dispatched reports events popped and fired. Maintained only while a
 // recorder is attached; zero otherwise.
-func (k *Kernel) Dispatched() uint64 {
-	if k.sh != nil {
-		return k.shardedDispatched()
-	}
-	return k.ndisp
-}
+func (k *Kernel) Dispatched() uint64 { return k.ndisp }
 
 // Woken reports process resumes dispatched through the baton protocol.
 // Sleep's handoff-eliding fast path does not count: no resume event fires.
-func (k *Kernel) Woken() uint64 {
-	if k.sh != nil {
-		return k.shardedWoken()
-	}
-	return k.nwoken
-}
+func (k *Kernel) Woken() uint64 { return k.nwoken }

@@ -21,9 +21,6 @@ type Proc struct {
 	ch     chan struct{} // resume token; receiving it = owning the kernel
 	done   bool
 	parked bool
-
-	part        *partition // owning partition in sharded mode, nil otherwise
-	sharedDepth int        // EnterShared nesting; > 0 routes resumes exclusively
 }
 
 // Go spawns fn as a new process starting at the current simulation time.
@@ -37,10 +34,6 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 		fn(p)
 		p.done = true
 		k.procs--
-		if k.sh != nil {
-			k.sdispatchEnd(p)
-			return
-		}
 		k.dispatchEnd()
 	}()
 	k.AfterProc(0, p)
@@ -58,78 +51,11 @@ func (p *Proc) Name() string { return p.name }
 // Kernel returns the kernel this process runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// Now returns the current simulation time as seen by this process: its
-// partition's clock for a partitioned process (the two coincide while it
-// runs a shared section), the kernel clock otherwise.
-func (p *Proc) Now() float64 {
-	if p.part != nil {
-		return p.part.now
-	}
-	return p.k.now
-}
+// Now returns the current simulation time.
+func (p *Proc) Now() float64 { return p.k.now }
 
-// Part returns the process's owning partition index, -1 when it runs on
-// the shared lane or the kernel is serial.
-func (p *Proc) Part() int {
-	if p.part == nil {
-		return -1
-	}
-	return p.part.idx
-}
-
-// OnLane reports whether the process is currently executing on its
-// partition's lane: partition-owned, outside any shared section, with the
-// lane active. Model code uses it to pick lane-private resources (pools,
-// scratch) over their globally shared counterparts.
-func (p *Proc) OnLane() bool {
-	return p.part != nil && p.part.active && p.sharedDepth == 0
-}
-
-// Rec returns the trace recorder this process's model code must emit to:
-// its partition's recorder in sharded mode, the kernel's otherwise. Nil
-// when tracing is off.
-func (p *Proc) Rec() *trace.Recorder {
-	if p.part != nil {
-		return p.k.PartRecorder(p.part.idx)
-	}
-	return p.k.rec
-}
-
-// EnterShared marks the start of a code region that reads or writes state
-// outside the process's partition (storage, collectives, cross-pset
-// messaging). In sharded mode, when called from the partition's lane, it
-// suspends the lane and re-runs the process on the globally-ordered
-// exclusive lane at the segment's origin key — exactly where the serial
-// kernel would have dispatched this code. Nested calls and serial mode
-// are no-ops; every EnterShared must be paired with an ExitShared.
-func (p *Proc) EnterShared() {
-	p.sharedDepth++
-	if p.sharedDepth > 1 {
-		return
-	}
-	k := p.k
-	if k.sh == nil {
-		return
-	}
-	pt := p.part
-	if pt == nil || !pt.active {
-		return // already on the exclusive lane
-	}
-	pt.nsusp++
-	pt.pend = append(pt.pend, pendReq{t: pt.ctx.segT, node: pt.ctx.segNode(), nextIdx: pt.ctx.nextIdx, p: p})
-	pt.mainCh <- struct{}{}
-	<-p.ch
-}
-
-// ExitShared closes an EnterShared region. The process keeps running on
-// the exclusive lane until its next yield, whose resume is routed back to
-// its partition's calendar.
-func (p *Proc) ExitShared() {
-	if p.sharedDepth <= 0 {
-		panic("sim: ExitShared without EnterShared on " + p.name)
-	}
-	p.sharedDepth--
-}
+// Rec returns the kernel's trace recorder, nil when tracing is off.
+func (p *Proc) Rec() *trace.Recorder { return p.k.rec }
 
 // Sleep suspends the process for d seconds of simulation time.
 //
@@ -145,10 +71,6 @@ func (p *Proc) Sleep(d float64) {
 		panic(fmt.Sprintf("sim: negative sleep %v", d))
 	}
 	k := p.k
-	if k.sh != nil {
-		p.sleepSharded(d)
-		return
-	}
 	t := k.now + d
 	if t <= k.horizon {
 		if next, ok := k.cal.peek(); !ok || next.t > t {
@@ -163,53 +85,6 @@ func (p *Proc) Sleep(d float64) {
 	}
 	k.insert(t, p)
 	k.dispatch(p)
-}
-
-// sleepSharded is Sleep for the partitioned kernel, with the fast path
-// adapted to the context the process runs in.
-func (p *Proc) sleepSharded(d float64) {
-	k := p.k
-	if pt := p.part; pt != nil && pt.active {
-		// Lane context: the fast path may advance the lane clock when no
-		// local event precedes the wake-up and the wake-up time stays
-		// strictly below the window bound. The elided resume still opens a
-		// new origin-chain segment (ctx.elide): if the process later
-		// suspends into a shared section, it must do so at the key its
-		// resume would have held — not at the stale origin of a sleep it
-		// skipped — or the exclusive lane would run the section out of
-		// global order.
-		t := pt.now + d
-		if t < pt.bound.t {
-			if next, ok := pt.cal.peek(); !ok || next.t > t {
-				pt.ctx.elide(t)
-				if k.rec != nil && t > pt.now {
-					pt.advLog = append(pt.advLog, advRec{t: t, layer: pt.layer})
-				}
-				pt.now = t
-				return
-			}
-		}
-		k.insertLocal(pt, t, p)
-		k.sdispatchLane(p)
-		return
-	}
-	// Exclusive context: the fast path must clear every calendar — the
-	// shared head, pending sections, and all partition heads — exactly
-	// the serial kernel's single-calendar check, split across shards.
-	t := k.now + d
-	if t <= k.horizon && k.noEarlierExclusive(t) {
-		k.ctx.elide(t)
-		if k.rec != nil && t > k.now {
-			k.advLog = append(k.advLog, advRec{t: t, layer: k.layer})
-		}
-		k.now = t
-		if p.part != nil && t > p.part.now {
-			p.part.now = t
-		}
-		return
-	}
-	k.insertProcSharded(t, p)
-	k.sdispatchX(p)
 }
 
 // SleepUntil suspends the process until absolute simulation time t. Times in
@@ -229,19 +104,6 @@ func (p *Proc) SleepUntil(t float64) {
 func (p *Proc) Park() {
 	p.parked = true
 	k := p.k
-	if k.sh != nil {
-		if p.part != nil {
-			p.part.nparked++
-		} else {
-			k.nparked++
-		}
-		if p.part != nil && p.part.active {
-			k.sdispatchLane(p)
-		} else {
-			k.sdispatchX(p)
-		}
-		return
-	}
 	k.nparked++
 	k.dispatch(p)
 }
@@ -261,11 +123,7 @@ func (p *Proc) UnparkAfter(d float64) {
 		panic("sim: Unpark of non-parked process " + p.name)
 	}
 	p.parked = false
-	if p.k.sh != nil && p.part != nil {
-		p.part.nparked--
-	} else {
-		p.k.nparked--
-	}
+	p.k.nparked--
 	p.k.AfterProc(d, p)
 }
 
