@@ -415,4 +415,5 @@ func TestPriorWorkBGLShape(t *testing.T) {
 	if bgl.GBps >= bgp.GBps || bgl.PerceivedTBps >= bgp.PerceivedTBps {
 		t.Fatalf("BG/L (%+v) not below BG/P (%+v)", bgl, bgp)
 	}
+	checkGolden(t, "priorwork_seed3_quiet.golden", PriorWorkTable(rows))
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -88,4 +89,122 @@ func TestMakespanGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "makespan_np2048_seed3.golden", MakespanTable(rows))
+}
+
+// TestExperimentGoldens pins one small case of every experiment whose
+// simulation is composed outside the headline runner, so a change to how
+// a simulation is built (machine, storage, faults, manifests, tenants)
+// shows up here byte for byte.
+func TestExperimentGoldens(t *testing.T) {
+	o := Options{Seed: 3, NPs: []int{512}}
+	bb := o
+	bb.FS, bb.BBNodes, bb.BBDrainBW, bb.Drain = "bbuf", 2, 0.25e9, "deadline"
+	cases := []struct {
+		golden string
+		run    func() (string, error)
+	}{
+		{"recovery_np256_seed3.golden", func() (string, error) {
+			rows, err := RecoveryStudy(o, 256, 6, 24, 4)
+			if err != nil {
+				return "", err
+			}
+			return RecoveryTable(rows), nil
+		}},
+		{"asyncfrontier_np256_seed3.golden", func() (string, error) {
+			rows, err := AsyncFrontier(o, 256, 6, 2)
+			if err != nil {
+				return "", err
+			}
+			return AsyncFrontierTable(rows), nil
+		}},
+		{"recovery_bbuf_np256_seed3.golden", func() (string, error) {
+			rows, err := RecoveryStudy(bb, 256, 6, 24, 4)
+			if err != nil {
+				return "", err
+			}
+			return RecoveryTable(rows), nil
+		}},
+		{"asyncfrontier_bbuf_np256_seed3.golden", func() (string, error) {
+			rows, err := AsyncFrontier(bb, 256, 6, 2)
+			if err != nil {
+				return "", err
+			}
+			return AsyncFrontierTable(rows), nil
+		}},
+		{"ablations_np512_seed3.golden", func() (string, error) {
+			var all []AblationRow
+			for _, f := range []func(Options, int) ([]AblationRow, error){
+				AblateAlignment, AblateWriterBuffer, AblateGroupRatio,
+				AblateIONCache, AblateNoise, AblateBlockSize,
+			} {
+				rows, err := f(o, 512)
+				if err != nil {
+					return "", err
+				}
+				all = append(all, rows...)
+			}
+			return AblationTable(all), nil
+		}},
+		{"eq1_np512_seed3.golden", func() (string, error) {
+			r, err := Eq1(o, 512, 20)
+			if err != nil {
+				return "", err
+			}
+			return r.Table(), nil
+		}},
+		{"multilevel_np512_seed3.golden", func() (string, error) {
+			rows, err := MultiLevelStudy(o, 512)
+			if err != nil {
+				return "", err
+			}
+			return MultiLevelTable(rows), nil
+		}},
+		{"meshread_np512_seed3.golden", func() (string, error) {
+			rows, err := MeshRead(o, MeshReadRow{E: 136 * 1024, NP: 512}, MeshReadRow{E: 546 * 1024, NP: 512})
+			if err != nil {
+				return "", err
+			}
+			return MeshReadTable(rows), nil
+		}},
+		{"ckptstorm_np256_nt2_seed3.golden", func() (string, error) {
+			r, err := CkptStorm(o, 256, 2)
+			if err != nil {
+				return "", err
+			}
+			return r.Table() + r.SummaryTable(), nil
+		}},
+		{"restartstorm_np256_nt2_seed3.golden", func() (string, error) {
+			return restartStormText(o)
+		}},
+		{"restartstorm_bbuf_np256_nt2_seed3.golden", func() (string, error) {
+			return restartStormText(bb)
+		}},
+		{"bbsize_np512_seed3.golden", func() (string, error) {
+			r, err := BBSize(o, 512, 6)
+			if err != nil {
+				return "", err
+			}
+			return r.Table() + r.FaultTable(), nil
+		}},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.golden, func(t *testing.T) {
+			t.Parallel()
+			got, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, c.golden, got)
+		})
+	}
+}
+
+func restartStormText(o Options) (string, error) {
+	r, err := RestartStorm(o, 256, 2)
+	if err != nil {
+		return "", err
+	}
+	return r.Table() + fmt.Sprintf("penalty %.4f makespan %.4f fails %d restores %d torn %d scan %d B\n",
+		r.StormPenalty, r.Makespan, r.FaultCounts.Fails, r.FaultCounts.Restores, r.Torn, r.ScanBytes), nil
 }
