@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/ckpt"
+	"repro/internal/registry"
 )
 
 // TestValidateCkptFlag pins the -ckpt exit-2 surface: empty (all headline
@@ -17,9 +17,9 @@ func TestValidateCkptFlag(t *testing.T) {
 		}
 	}
 	err := validateCkptFlag("mpiio")
-	var ue *ckpt.UnknownStrategyError
+	var ue *registry.UnknownError
 	if !errors.As(err, &ue) {
-		t.Fatalf("unknown -ckpt returned %v, want *ckpt.UnknownStrategyError", err)
+		t.Fatalf("unknown -ckpt returned %v, want *registry.UnknownError", err)
 	}
 }
 

@@ -18,17 +18,12 @@ import (
 	"os"
 
 	"repro/internal/bbuf"
-	"repro/internal/bgp"
 	"repro/internal/ckpt"
 	"repro/internal/exp"
 	"repro/internal/fsys"
 	"repro/internal/iolog"
-	"repro/internal/machine"
-	"repro/internal/mpi"
 	"repro/internal/nekcem"
 	"repro/internal/recover"
-	"repro/internal/sim"
-	"repro/internal/xrand"
 
 	// Backends self-register with the fsys registry from their package
 	// inits; the bbuf import also provides the -bb/-drain validators.
@@ -105,33 +100,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	k := sim.NewKernel()
-	desc, err := machine.Lookup(*machName)
+	opts := []exp.Option{
+		exp.Seed(*seed), exp.Machine(*machName), exp.Map(*mapName),
+		exp.Backend(backend), exp.BB(bbNodes, bbGbps), exp.Drain(*drain),
+	}
+	if *quiet {
+		opts = append(opts, exp.Quiet())
+	}
+	sc, err := exp.Build(exp.New(opts...), exp.Spec{NP: *np, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	mcfg := desc.Config(*np)
-	if *mapName != "" {
-		mcfg.Placement = *mapName
-		mcfg.PlacementSeed = *seed
-	}
-	m, err := bgp.New(k, xrand.New(*seed), mcfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	fs, err := fsys.Mount(backend, m, fsys.MountOptions{
-		Quiet:     *quiet,
-		BBNodes:   bbNodes,
-		BBDrainBW: bbGbps * 1e9,
-		Drain:     *drain,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	w := mpi.NewWorld(m, mpi.DefaultConfig())
+	fs := sc.FS
 
 	var log *iolog.Log
 	if *logPath != "" {
@@ -145,17 +126,7 @@ func main() {
 	var mlog *recover.Log
 	var seg *recover.Segment
 	if *workStps > 0 && *epochs > 0 {
-		mlog = recover.NewLog(*seed, *np)
-		if di, ok := fs.(fsys.DrainInfo); ok {
-			// Burst-buffer backend: an epoch seals only once the fleet is
-			// expected to have drained it — absorption is not durability.
-			mlog.SetCommitGate(func(t float64) float64 {
-				if h := di.DrainHorizon(); h > t {
-					return h
-				}
-				return t
-			})
-		}
+		mlog = exp.NewManifestLog(fs, *seed, *np)
 		seg = mlog.StartSegment("ckpt", 0, 0)
 	}
 	rcfg := nekcem.RunConfig{
@@ -172,7 +143,7 @@ func main() {
 	if seg != nil {
 		rcfg.Epochs = seg
 	}
-	res, err := nekcem.Run(w, fs, rcfg)
+	res, err := nekcem.Run(sc.World(), fs, rcfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

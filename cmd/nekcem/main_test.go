@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/registry"
 )
 
 // TestResolveStrategy pins the -ckpt/-strategy/-nf resolution the command
@@ -55,9 +56,9 @@ func TestResolveStrategy(t *testing.T) {
 	}
 	// The exit-2 path: a typed unknown-strategy error.
 	_, err = resolveStrategy("mpiio", "", 4096, 0)
-	var ue *ckpt.UnknownStrategyError
+	var ue *registry.UnknownError
 	if !errors.As(err, &ue) {
-		t.Fatalf("unknown -ckpt returned %v, want *ckpt.UnknownStrategyError", err)
+		t.Fatalf("unknown -ckpt returned %v, want *registry.UnknownError", err)
 	}
 }
 

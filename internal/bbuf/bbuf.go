@@ -258,9 +258,11 @@ func (fs *FileSystem) EnableFaults(in *fault.Injector, pol storage.FaultPolicy, 
 // nodes it hosts (one aggregated report per fault event, so the recovery
 // layer's ClassifyKills sees one consistent number), or a background drain
 // exhausting the storage retry budget. The recovery layer uses it to
-// invalidate epochs whose durability silently evaporated.
+// invalidate epochs whose durability silently evaporated. Callbacks
+// accumulate: every tenant's manifest log on a shared fleet hears of every
+// loss.
 func (fs *FileSystem) OnLost(fn func(ion int, bytes int64, t float64)) {
-	fs.path.onLost = fn
+	fs.path.onLost = append(fs.path.onLost, fn)
 }
 
 // Buffer returns the burst-buffer tier's counters.

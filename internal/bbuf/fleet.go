@@ -48,13 +48,13 @@ type fleet struct {
 	// event-driven dispatcher; pass-through schedulers (FIFO) never touch
 	// these.
 	backlog      [][]pendingDrain
-	busy         []bool  // per-node: a dispatched drain still owns the channel
-	backlogBytes []int64 // per-node bytes enqueued but not yet dispatched
+	busy         []bool    // per-node: a dispatched drain still owns the channel
+	backlogBytes []int64   // per-node bytes enqueued but not yet dispatched
 	planEnd      []float64 // per-node latest planned drain-landing time
 
 	seq    int64 // fleet-wide drain admission counter
 	stats  BufferStats
-	onLost func(ion int, bytes int64, t float64)
+	onLost []func(ion int, bytes int64, t float64)
 
 	// Tenant attribution for the priority-by-tenant scheduler: the cluster
 	// layer maps world ranks to tenant indices and assigns drain
@@ -181,8 +181,8 @@ func (d *fleet) ionDown(i int, t float64) {
 	if lost > 0 {
 		d.stats.LostBytes += lost
 		d.stats.LossEvents++
-		if d.onLost != nil {
-			d.onLost(i, lost, t)
+		for _, fn := range d.onLost {
+			fn(i, lost, t)
 		}
 	}
 }
@@ -368,8 +368,8 @@ func (d *fleet) drainOut(c *storage.Core, h *storage.Handle, node int, ready flo
 		d.stats.LostBytes += lost
 		if lost > 0 {
 			d.stats.LossEvents++
-			if d.onLost != nil {
-				d.onLost(d.host[node], lost, done)
+			for _, fn := range d.onLost {
+				fn(d.host[node], lost, done)
 			}
 		}
 		if done > d.stats.LastDrainEnd {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/data"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
@@ -24,9 +25,9 @@ func TestSchedulerRegistry(t *testing.T) {
 		t.Fatalf("Lookup(\"\") = %v, %v; want the %q default", s, err, DefaultScheduler)
 	}
 	_, err := Lookup("nope")
-	var ue *UnknownSchedulerError
+	var ue *registry.UnknownError
 	if !errors.As(err, &ue) {
-		t.Fatalf("Lookup(nope) error %v, want *UnknownSchedulerError", err)
+		t.Fatalf("Lookup(nope) error %v, want *registry.UnknownError", err)
 	}
 	if ue.Name != "nope" || len(ue.Known) != len(Schedulers()) {
 		t.Fatalf("error carries %q with %d known, want nope with %d", ue.Name, len(ue.Known), len(Schedulers()))

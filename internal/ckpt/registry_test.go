@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/registry"
 )
 
 // mustPanicContains asserts fn panics with a message containing want.
@@ -65,12 +67,12 @@ func TestLookupDefaultAndAliases(t *testing.T) {
 }
 
 // TestLookupUnknownTypedError pins the error surface both CLIs print on
-// exit 2: a typed *UnknownStrategyError carrying the sorted valid names.
+// exit 2: a typed *registry.UnknownError carrying the sorted valid names.
 func TestLookupUnknownTypedError(t *testing.T) {
 	_, err := Lookup("mpiio")
-	var ue *UnknownStrategyError
+	var ue *registry.UnknownError
 	if !errors.As(err, &ue) {
-		t.Fatalf("Lookup error is %T, want *UnknownStrategyError", err)
+		t.Fatalf("Lookup error is %T, want *registry.UnknownError", err)
 	}
 	if ue.Name != "mpiio" {
 		t.Errorf("error names %q, want mpiio", ue.Name)

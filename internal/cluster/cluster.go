@@ -179,8 +179,14 @@ func (s *Session) LaunchOn(a *machine.Alloc, t Tenant) (*Job, error) {
 // scheduling): sleep to arrival, queue until capacity frees, place, run,
 // and retire the allocation on completion. The returned jobs fill in
 // Alloc/World/Admitted as the simulation admits them; Collect reads them
-// after the kernel ran.
-func (s *Session) LaunchQueued(tenants []Tenant) []*Job {
+// after the kernel ran. A tenant too large for the empty machine would
+// queue forever, so it fails the launch instead.
+func (s *Session) LaunchQueued(tenants []Tenant) ([]*Job, error) {
+	for _, t := range tenants {
+		if !s.Alloc.Fits(t.NP) {
+			return nil, fmt.Errorf("cluster: job %q (np=%d) does not fit the %d-rank machine", t.Name, t.NP, s.M.Cfg.Ranks)
+		}
+	}
 	jobs := make([]*Job, len(tenants))
 	for i, t := range tenants {
 		i, t := i, t
@@ -214,7 +220,7 @@ func (s *Session) LaunchQueued(tenants []Tenant) []*Job {
 			j.pe = pe
 		})
 	}
-	return jobs
+	return jobs, nil
 }
 
 // wakeQueue unparks every queued admission process, in queue order; each

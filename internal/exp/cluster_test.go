@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -206,6 +207,21 @@ func TestRunWorkloadQueued(t *testing.T) {
 	}
 	if got := run(); got.Table() != r.Table() || got.Makespan != r.Makespan {
 		t.Errorf("queued admission nondeterministic:\n%s\nvs\n%s", got.Table(), r.Table())
+	}
+}
+
+// TestRunWorkloadRejectsOversizedJob: a -np capacity smaller than the
+// workload's largest job fails up front, naming the job, its np and the
+// capacity, instead of deadlocking the admission queue.
+func TestRunWorkloadRejectsOversizedJob(t *testing.T) {
+	_, err := RunWorkload(Options{Seed: 1, NPs: []int{512}}, cluster.DefaultWorkload())
+	if err == nil {
+		t.Fatal("a 1024-rank job was admitted to a 512-rank machine")
+	}
+	for _, want := range []string{`job "j1"`, "np=1024", "512-rank machine"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
 	}
 }
 

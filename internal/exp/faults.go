@@ -6,11 +6,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/fault"
-	"repro/internal/fsys"
-	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/storage"
-	"repro/internal/xrand"
 )
 
 // FaultSpec arms fault injection on a Job. The schedule is either given
@@ -61,75 +57,6 @@ type FaultOutcome struct {
 
 	RestartAttempted bool
 	RestartOK        bool
-}
-
-// attachFaults samples (or adopts) the spec's schedule, arms an injector on
-// the kernel, and threads it through the storage backend and the Ethernet
-// NICs. It must run before the MPI world spawns.
-func attachFaults(k *sim.Kernel, m *machine.Machine, fs fsys.System, spec *FaultSpec) (*fault.Injector, error) {
-	servers := 0
-	if sc, ok := fs.(interface{ Servers() []*storage.Server }); ok {
-		servers = len(sc.Servers())
-	}
-	sched := spec.Schedule
-	if sched == nil {
-		if spec.MTBF <= 0 {
-			return nil, fmt.Errorf("exp: fault spec needs an explicit schedule or MTBF > 0")
-		}
-		horizon := spec.Horizon
-		if horizon <= 0 {
-			horizon = 150
-		}
-		rng := xrand.New(spec.Seed | 1)
-		sched = fault.Sample(rng, horizon, map[fault.Class]fault.Rates{
-			fault.Node:   {N: m.NumNodes(), MTBF: spec.MTBF, MTTR: spec.MTTR, Shape: spec.Shape},
-			fault.ION:    {N: m.NumPsets(), MTBF: spec.MTBF, MTTR: spec.MTTR, Shape: spec.Shape},
-			fault.Server: {N: servers, MTBF: spec.MTBF, MTTR: spec.MTTR, Shape: spec.Shape},
-			fault.Link:   {N: m.NumPsets(), MTBF: spec.MTBF, MTTR: spec.MTTR, Shape: spec.Shape, Factor: 0.25},
-		})
-	}
-	inj := fault.NewInjector(k, sched)
-	pol := storage.DefaultFaultPolicy()
-	if spec.Policy != nil {
-		pol = *spec.Policy
-	}
-	// The jitter stream is split from the fault seed, never from the
-	// machine's noise RNG: the storage core's RNG split order is frozen by
-	// the fault-free goldens.
-	frng := xrand.New((spec.Seed ^ 0xda3e39cb94b95bdb) | 1)
-	if f, ok := fs.(interface {
-		EnableFaults(*fault.Injector, storage.FaultPolicy, *xrand.RNG)
-	}); ok {
-		f.EnableFaults(inj, pol, frng)
-	}
-	inj.Subscribe(func(ev fault.Event) {
-		switch ev.Class {
-		case fault.Link:
-			if ev.Index >= m.NumPsets() {
-				return
-			}
-			switch ev.Kind {
-			case fault.Degrade:
-				m.Eth.NIC(ev.Index).SetDegrade(ev.Factor)
-			case fault.Restore:
-				m.Eth.NIC(ev.Index).SetDegrade(0)
-			}
-		case fault.FabricLink:
-			// Compute-interconnect links degrade through the generic engine.
-			// Sampled schedules never include this class (its rate is absent
-			// from the map above), so it only fires from explicit schedules.
-			if ev.Index >= m.Topo.NumLinks() {
-				return
-			}
-			switch ev.Kind {
-			case fault.Degrade:
-				m.Net.SetLinkDegrade(ev.Index, ev.Factor)
-			case fault.Restore:
-				m.Net.SetLinkDegrade(ev.Index, 0)
-			}
-		}
-	})
-	return inj, nil
 }
 
 // FaultRow aggregates the survivability trials of one (strategy, MTBF) cell.
@@ -285,22 +212,12 @@ func Makespan(o Options, np int, mtbfHours float64) ([]MakespanRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Component census for the system MTBF: every injectable component
-	// (nodes, IONs, servers) counts; links only degrade, so they do not
-	// interrupt the job.
-	k := sim.NewKernel()
-	m, err := o.newMachine(k, xrand.New(o.seed()), np)
+	// The system MTBF divides over every component a fault can take down.
+	sc, err := Build(o, Spec{NP: np, Seed: o.seed()})
 	if err != nil {
 		return nil, err
 	}
-	fs, _, err := buildFS(o, m, o.FS)
-	if err != nil {
-		return nil, err
-	}
-	ncomp := m.NumNodes() + m.NumPsets()
-	if sc, ok := fs.(interface{ Servers() []*storage.Server }); ok {
-		ncomp += len(sc.Servers())
-	}
+	ncomp := sc.components()
 	var rows []MakespanRow
 	for _, r0 := range rows0 {
 		for _, mult := range []float64{0.25, 0.5, 1, 2, 4} {

@@ -104,7 +104,7 @@ func TestPsetRatioDeterministicAcrossWorkers(t *testing.T) {
 // losing it, and a severe one makes writers time out on their members'
 // chunks (MissingChunks > 0, Lost). Sampled schedules never draw FabricLink
 // events, so this path is reachable only through explicit schedules — see
-// attachFaults.
+// Scenario.armFaults.
 func TestFabricLinkDegradeSlowsCheckpoint(t *testing.T) {
 	np := 256
 	degradeAll := func(factor float64) fault.Schedule {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/registry"
 )
 
 // Descriptor is one runnable experiment in the registry: its canonical
@@ -23,47 +25,24 @@ type Descriptor struct {
 	Run func(s *Session) error
 }
 
-var (
-	registry      = map[string]*Descriptor{}
-	registryOrder []*Descriptor
-)
+var experiments = registry.New[Descriptor]("exp", "experiment", "")
 
 // Register installs an experiment descriptor. Duplicate names or aliases
 // are wiring bugs and panic.
 func Register(d Descriptor) {
-	if d.Name == "" || d.Run == nil {
-		panic("exp: Register needs a name and a run body")
+	if d.Run == nil {
+		panic("exp: Register needs a run body: " + d.Name)
 	}
-	if _, dup := registry[d.Name]; dup {
-		panic("exp: duplicate experiment registration: " + d.Name)
-	}
-	desc := &d
-	registry[d.Name] = desc
-	for _, a := range d.Aliases {
-		if _, dup := registry[a]; dup {
-			panic("exp: experiment alias collides: " + a)
-		}
-		registry[a] = desc
-	}
-	registryOrder = append(registryOrder, desc)
+	experiments.Register(d.Name, d, d.Aliases...)
 }
 
 // Experiments returns the registered descriptors in registration order.
-func Experiments() []Descriptor {
-	out := make([]Descriptor, 0, len(registryOrder))
-	for _, d := range registryOrder {
-		out = append(out, *d)
-	}
-	return out
-}
+func Experiments() []Descriptor { return experiments.Values() }
 
 // LookupExperiment resolves an experiment name or alias.
 func LookupExperiment(name string) (Descriptor, bool) {
-	d, ok := registry[name]
-	if !ok {
-		return Descriptor{}, false
-	}
-	return *d, true
+	d, err := experiments.Lookup(name)
+	return d, err == nil
 }
 
 // Session is the shared state of one driver invocation: the options every

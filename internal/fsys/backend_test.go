@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/fsys"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 
@@ -38,9 +39,9 @@ func TestLookupDefaultsAndErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("Lookup(ext4) succeeded")
 	}
-	var ube *fsys.UnknownBackendError
+	var ube *registry.UnknownError
 	if !errors.As(err, &ube) {
-		t.Fatalf("error is %T, want *UnknownBackendError", err)
+		t.Fatalf("error is %T, want *registry.UnknownError", err)
 	}
 	if ube.Name != "ext4" || len(ube.Known) < 3 {
 		t.Fatalf("bad error detail: %+v", ube)

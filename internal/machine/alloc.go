@@ -89,6 +89,17 @@ func (al *Allocator) FreeNodes() int {
 	return n
 }
 
+// span returns the pset-aligned node span a request of ranks reserves.
+func (al *Allocator) span(ranks int) int {
+	cfg := al.m.Cfg
+	used := (ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
+	return (used + cfg.NodesPerPset - 1) / cfg.NodesPerPset * cfg.NodesPerPset
+}
+
+// Fits reports whether a request of ranks fits the empty machine. One that
+// does not could never be admitted, however long it queued.
+func (al *Allocator) Fits(ranks int) bool { return al.span(ranks) <= al.m.numNodes }
+
 // Alloc reserves a slice for ranks processes using the named placement
 // policy ("" = txyz) over the slice. ranks must be a positive multiple of
 // RanksPerNode; the reserved span is rounded up to a whole number of psets.
@@ -100,7 +111,7 @@ func (al *Allocator) Alloc(name string, ranks int, placement string, seed uint64
 		return nil, fmt.Errorf("machine: alloc %q: ranks %d not a positive multiple of ranks-per-node %d", name, ranks, cfg.RanksPerNode)
 	}
 	used := ranks / cfg.RanksPerNode
-	span := (used + cfg.NodesPerPset - 1) / cfg.NodesPerPset * cfg.NodesPerPset
+	span := al.span(ranks)
 	idx := -1
 	for i, s := range al.free {
 		if s.n >= span {

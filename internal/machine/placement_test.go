@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/registry"
 )
 
 func mustPlacement(t *testing.T, name string, ranks, nodes, rpn int, seed uint64) Placement {
@@ -103,9 +105,9 @@ func TestRandomPlacementSeeding(t *testing.T) {
 // validation helper.
 func TestUnknownPlacement(t *testing.T) {
 	_, err := NewPlacement("snake", 64, 16, 4, 0)
-	var ue *UnknownPlacementError
+	var ue *registry.UnknownError
 	if !errors.As(err, &ue) {
-		t.Fatalf("error %v is not *UnknownPlacementError", err)
+		t.Fatalf("error %v is not *registry.UnknownError", err)
 	}
 	if ue.Name != "snake" || len(ue.Known) != len(PlacementNames()) {
 		t.Fatalf("error fields: %+v", ue)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	. "repro/internal/machine"
+	"repro/internal/registry"
 
 	_ "repro/internal/bgp" // registers the Blue Gene presets under test
 )
@@ -43,9 +44,9 @@ func TestLookupAlias(t *testing.T) {
 // valid presets.
 func TestUnknownMachine(t *testing.T) {
 	_, err := Lookup("cray")
-	var ue *UnknownMachineError
+	var ue *registry.UnknownError
 	if !errors.As(err, &ue) {
-		t.Fatalf("error %v is not *UnknownMachineError", err)
+		t.Fatalf("error %v is not *registry.UnknownError", err)
 	}
 	if ue.Name != "cray" {
 		t.Fatalf("error name %q", ue.Name)

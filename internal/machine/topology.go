@@ -22,7 +22,7 @@
 // name (iobench -machine).
 package machine
 
-import "fmt"
+import "repro/internal/registry"
 
 // Topology is the interconnect-shape seam: a directed graph over vertices
 // 0..NumVertices-1, of which the first Nodes() are compute nodes and any
@@ -58,37 +58,26 @@ func Route(t Topology, a, b int) []int {
 	return t.AppendRoute(make([]int, 0, t.Distance(a, b)), a, b)
 }
 
-// topologies maps topology names to constructors over a node count.
-var topologies = map[string]func(nodes int) Topology{
-	"torus":     func(n int) Topology { return NewTorusTopology(n) },
-	"fattree":   func(n int) Topology { return NewFatTree(n) },
-	"dragonfly": func(n int) Topology { return NewDragonfly(n) },
+// topologies holds the topology constructors over a node count; the empty
+// name selects the torus (the Blue Gene default).
+var topologies = registry.New[func(nodes int) Topology]("machine", "topology", "torus")
+
+func init() {
+	topologies.Register("torus", func(n int) Topology { return NewTorusTopology(n) })
+	topologies.Register("fattree", func(n int) Topology { return NewFatTree(n) })
+	topologies.Register("dragonfly", func(n int) Topology { return NewDragonfly(n) })
 }
 
 // TopologyNames returns the valid Config.Topology values, sorted.
-func TopologyNames() []string { return sortedKeys(topologies) }
+func TopologyNames() []string { return topologies.Sorted() }
 
 // NewTopology builds the named topology over the given node count. The
 // empty name selects the torus (the Blue Gene default). Unknown names fail
-// with a typed *UnknownTopologyError.
+// with a typed *registry.UnknownError.
 func NewTopology(name string, nodes int) (Topology, error) {
-	if name == "" {
-		name = "torus"
-	}
-	fn, ok := topologies[name]
-	if !ok {
-		return nil, &UnknownTopologyError{Name: name, Known: TopologyNames()}
+	fn, err := topologies.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return fn(nodes), nil
-}
-
-// UnknownTopologyError reports a Config.Topology value that names no
-// registered topology.
-type UnknownTopologyError struct {
-	Name  string
-	Known []string
-}
-
-func (e *UnknownTopologyError) Error() string {
-	return fmt.Sprintf("machine: unknown topology %q (valid: %s)", e.Name, joinNames(e.Known))
 }

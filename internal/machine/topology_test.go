@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/registry"
 	"repro/internal/xrand"
 )
 
@@ -115,9 +116,9 @@ func TestTopologySelfRoute(t *testing.T) {
 // TestUnknownTopology checks the typed error and its listing.
 func TestUnknownTopology(t *testing.T) {
 	_, err := NewTopology("hypercube", 64)
-	var ue *UnknownTopologyError
+	var ue *registry.UnknownError
 	if !errors.As(err, &ue) {
-		t.Fatalf("error %v is not *UnknownTopologyError", err)
+		t.Fatalf("error %v is not *registry.UnknownError", err)
 	}
 	if ue.Name != "hypercube" || len(ue.Known) != len(TopologyNames()) {
 		t.Fatalf("error fields: %+v", ue)

@@ -45,19 +45,12 @@ func lifecycle(t *testing.T, np int, strat ckpt.Strategy, segCkpts, work, ce int
 		Base:     base,
 		Log:      log, Work: work, CheckpointEvery: ce, SegmentCkpts: segCkpts,
 		Dir: "ckpt", Injector: inj,
-		Nodes: m.NumNodes(), IONs: m.NumPsets(), Servers: numServers(fs),
+		Nodes: m.NumNodes(), IONs: m.NumPsets(), Servers: len(fs.Servers()),
 	})
 	if err != nil {
 		t.Fatalf("lifecycle: %v", err)
 	}
 	return res, log, sched
-}
-
-func numServers(fs interface{}) int {
-	if sc, ok := fs.(interface{ Servers() []*storage.Server }); ok {
-		return len(sc.Servers())
-	}
-	return 0
 }
 
 func sealedGlobals(l *Log) (sealed, torn int) {

@@ -194,11 +194,16 @@ type Core struct {
 	Stats Stats
 }
 
-// StatsProvider is implemented by any fsys.System whose counters are the
-// shared storage-core Stats; the experiment layer uses it to read a
-// mounted backend's counters without knowing the concrete type.
-type StatsProvider interface {
+// System is a mounted file system built on the storage core: the fsys
+// interface plus what the core gives every backend — its live counters, its
+// server array, and fault attachment. Every backend embeds *Core, so the
+// experiment layer asserts it once at mount and uses these capabilities
+// without knowing the concrete type.
+type System interface {
+	fsys.System
 	StorageStats() *Stats
+	Servers() []*Server
+	EnableFaults(in *fault.Injector, pol FaultPolicy, rng *xrand.RNG)
 }
 
 // StorageStats returns the live storage-core counters.
@@ -209,7 +214,7 @@ func (c *Core) StorageStats() *Stats { return &c.Stats }
 // emits its own spans.
 func (c *Core) Recorder() (*trace.Recorder, trace.Layer) { return c.rec, c.recLayer }
 
-var _ fsys.System = (*Core)(nil)
+var _ System = (*Core)(nil)
 
 // Stats aggregates observable file system activity. Fields that a backend's
 // policies never touch (token counters on a lock-free backend, for example)
