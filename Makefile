@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test check bench bench-json fig5 storm recovery async bb
+.PHONY: build test check bench bench-json fig5 storm recovery async bb perf
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,14 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./internal/sim/... ./internal/exp/... ./internal/machine/...
+
+# perf runs the end-to-end benchmark (perfbench/, declared by
+# BENCHMARK.json) on every workload at small np, then the benchmark
+# module's own tests; perfbench is a separate Go module, so `make test`
+# never builds it.
+perf:
+	python3 perfbench/run.py --smoke
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the perf-regression microbenchmarks (calendar queue, process
 # handoff, resource ring). BenchmarkFig5Wallclock is excluded: it simulates
