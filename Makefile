@@ -27,8 +27,8 @@ perf:
 	python3 perfbench/run.py --smoke
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# bench runs the perf-regression microbenchmarks (calendar queue, process
-# handoff, resource ring). BenchmarkFig5Wallclock is excluded: it simulates
+# bench runs the perf-regression microbenchmarks (event calendar churn,
+# process handoff, resource ring). BenchmarkFig5Wallclock is excluded: it simulates
 # the full 64K sweep and takes minutes — run `make fig5` for it.
 bench:
 	$(GO) test -run xxx -bench 'KernelEventChurn|ProcHandoff|ResourceQueue' -benchmem .

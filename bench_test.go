@@ -308,7 +308,7 @@ func BenchmarkExtensionMultiLevel(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Performance-regression benchmarks for the calendar-queue kernel and the
+// Performance-regression benchmarks for the kernel's event calendar and the
 // process handoff path. When BENCH_JSON names a directory, each also records
 // its result as BENCH_<name>.json there (see internal/perf).
 
@@ -341,8 +341,8 @@ func (h *churnHook) Fire() {
 		return
 	}
 	*h.left--
-	// xorshift so the population spreads over many buckets instead of
-	// marching in lockstep.
+	// xorshift so the population spreads out in time instead of marching
+	// in lockstep.
 	h.rng ^= h.rng << 13
 	h.rng ^= h.rng >> 7
 	h.rng ^= h.rng << 17
@@ -350,8 +350,9 @@ func (h *churnHook) Fire() {
 }
 
 // BenchmarkKernelEventChurn measures raw calendar push/pop throughput with a
-// standing population of a thousand pooled events. Steady state must be
-// allocation-free: 0 allocs/op is part of the kernel's contract.
+// standing population of a thousand pooled events. It reports allocs/op; the
+// 0-allocs steady-state contract itself is tested by the sim package's
+// TestDisabledTracingAllocFree on the same shape.
 func BenchmarkKernelEventChurn(b *testing.B) {
 	k := sim.NewKernel()
 	left := b.N
@@ -429,8 +430,8 @@ func BenchmarkResourceQueue(b *testing.B) {
 }
 
 // BenchmarkFig5Wallclock measures the end-to-end cost of regenerating
-// Figure 5's 64K-rank column — all five approaches — the number the
-// calendar-queue kernel and handoff work are judged by. The experiment
+// Figure 5's 64K-rank column — all five approaches — the number kernel and
+// handoff work are judged by. The experiment
 // fan-out uses the default worker pool, so multi-core machines overlap the
 // five arms.
 func BenchmarkFig5Wallclock(b *testing.B) {

@@ -32,8 +32,6 @@ func TuneGC() {
 type Benchmark struct {
 	Name         string             `json:"name"`
 	NsPerOp      float64            `json:"ns_per_op"`
-	AllocsPerOp  float64            `json:"allocs_per_op"`
-	BytesPerOp   float64            `json:"bytes_per_op"`
 	EventsPerSec float64            `json:"events_per_sec,omitempty"`
 	Extra        map[string]float64 `json:"extra,omitempty"`
 }

@@ -22,14 +22,13 @@ func popAll(t *testing.T, c *calQueue) []event {
 }
 
 // TestCalQueueRandomAgainstSort drives the calendar through enough random
-// events to force growth resizes, window reseeds and cursor jumps, and checks
-// the drain order against a plain sort. Time scales span nanoseconds to
-// kiloseconds so the window logic sees the workload's bimodal spacing.
+// events to grow the heap many times over, and checks the drain order against
+// a plain sort. Time scales span nanoseconds to kiloseconds, the workload's
+// bimodal spacing.
 func TestCalQueueRandomAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	scales := []float64{1e-9, 1e-6, 1e-3, 1, 1e3}
 	var c calQueue
-	c.init()
 	var all []event
 	for seq := uint64(1); seq <= 20000; seq++ {
 		ev := event{t: rng.Float64() * scales[rng.Intn(len(scales))], seq: seq}
@@ -46,12 +45,11 @@ func TestCalQueueRandomAgainstSort(t *testing.T) {
 }
 
 // TestCalQueueInterleavedChurn mixes pushes and pops (the simulation's actual
-// access pattern) with times near the current head, exercising the sorted-run
-// fast path, its heap-mode degradation, and bucket compaction.
+// access pattern) with times near the current head, plus occasional
+// far-future events that sink deep into the heap.
 func TestCalQueueInterleavedChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var c calQueue
-	c.init()
 	now := 0.0
 	seq := uint64(0)
 	var last event
@@ -59,7 +57,7 @@ func TestCalQueueInterleavedChurn(t *testing.T) {
 	for step := 0; step < 50000; step++ {
 		if c.len() == 0 || rng.Intn(3) > 0 {
 			seq++
-			// Mostly near-future, occasionally far-future (overflow heap).
+			// Mostly near-future, occasionally far-future.
 			d := rng.Float64() * 1e-6
 			if rng.Intn(50) == 0 {
 				d = rng.Float64() * 10
@@ -84,7 +82,6 @@ func TestCalQueueInterleavedChurn(t *testing.T) {
 // scheduling order, including when pops interleave with new same-time pushes.
 func TestCalQueueSameTimestampFIFO(t *testing.T) {
 	var c calQueue
-	c.init()
 	const at = 3.5
 	for seq := uint64(1); seq <= 5000; seq++ {
 		c.push(event{t: at, seq: seq})
@@ -113,37 +110,10 @@ func TestCalQueueSameTimestampFIFO(t *testing.T) {
 	}
 }
 
-// TestCalQueueShrinkAfterWave checks that the calendar shrinks back after a
-// large wave drains (the shrink-resize path) and still orders a sparse tail
-// correctly.
-func TestCalQueueShrinkAfterWave(t *testing.T) {
-	var c calQueue
-	c.init()
-	seq := uint64(0)
-	for i := 0; i < 10000; i++ {
-		seq++
-		c.push(event{t: float64(i) * 1e-6, seq: seq})
-	}
-	for i := 0; i < 9990; i++ {
-		c.pop()
-	}
-	if got := len(c.buckets); got > 1024 {
-		t.Errorf("bucket array did not shrink: %d buckets for %d events", got, c.len())
-	}
-	seq++
-	c.push(event{t: 100, seq: seq})
-	out := popAll(t, &c)
-	if out[len(out)-1].t != 100 {
-		t.Fatalf("tail event lost: last pop %v", out[len(out)-1])
-	}
-}
-
-// TestCalQueueInfinityAndHugeTimes checks the float-safety overflow route:
-// events beyond the width-dependent horizon (including +Inf sentinels) stay
-// in the overflow heap and still drain in order.
+// TestCalQueueInfinityAndHugeTimes checks that events at extreme times
+// (1e300, as far-off sentinels use) drain in order with near-term ones.
 func TestCalQueueInfinityAndHugeTimes(t *testing.T) {
 	var c calQueue
-	c.init()
 	inf := func(seq uint64) event { return event{t: 1e300, seq: seq} }
 	c.push(inf(1))
 	c.push(event{t: 1e-6, seq: 2})
@@ -158,8 +128,8 @@ func TestCalQueueInfinityAndHugeTimes(t *testing.T) {
 }
 
 // TestEventIsCompact pins the calendar entry at 32 bytes (time, sequence
-// word, hook interface): the calendar's bucket and heap operations move
-// events by value, so every extra field is paid on each push and pop.
+// word, hook interface): the calendar's heap operations move events by
+// value, so every extra field is paid on each push and pop.
 func TestEventIsCompact(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 32 {
 		t.Fatalf("sizeof(event) = %d bytes, want 32", got)

@@ -15,9 +15,10 @@
 // increasing sequence number breaks ties), so the model never depends on
 // calendar implementation details.
 //
-// The hot path is allocation-free at steady state: the calendar queue stores
-// events by value in recycled buckets, and the AtProc/AfterProc fast paths
-// schedule a process resume without the closure a plain At would capture.
+// The hot path is allocation-free at steady state: the calendar is a binary
+// heap that stores events by value in one recycled slice, and the
+// AtProc/AfterProc fast paths schedule a process resume without the closure a
+// plain At would capture.
 package sim
 
 import (
@@ -73,7 +74,7 @@ func (f funcHook) Fire() { f() }
 
 // event is one calendar entry, kept small so the calendar's heap operations
 // move as little memory as possible. h is either an action to fire or —
-// detected by type assertion in the dispatch loops — a *Proc to resume (the
+// detected by type assertion in next — a *Proc to resume (the
 // pooled fast path: converting a *Proc to Hook allocates nothing).
 type event struct {
 	t   float64
@@ -83,12 +84,10 @@ type event struct {
 
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel {
-	k := &Kernel{
+	return &Kernel{
 		horizon: math.Inf(1),
 		mainCh:  make(chan struct{}),
 	}
-	k.cal.init()
-	return k
 }
 
 // Now returns the current simulation time in seconds.
@@ -244,14 +243,13 @@ func (k *Kernel) RunUntil(t float64) {
 // which is what keeps the strict one-runnable-goroutine guarantee intact (and
 // lets `go test -race` verify it mechanically).
 
-// dispatchMain dispatches from the Run/RunUntil caller. It returns once no
-// event remains within the horizon — either directly, or (after the baton has
-// been handed to a process) when the out-of-work token arrives on mainCh.
-func (k *Kernel) dispatchMain() {
+// next dispatches events within the horizon, firing hooks inline, until one
+// resumes a process, and returns that process — or nil once no event remains
+// within the horizon.
+func (k *Kernel) next() *Proc {
 	for {
-		next, ok := k.cal.peek()
-		if !ok || next.t > k.horizon {
-			return
+		if ev, ok := k.cal.peek(); !ok || ev.t > k.horizon {
+			return nil
 		}
 		ev := k.cal.pop()
 		if k.rec != nil {
@@ -266,10 +264,27 @@ func (k *Kernel) dispatchMain() {
 		if p.done {
 			panic("sim: resuming finished process " + p.name)
 		}
-		k.nwoken++
-		p.ch <- struct{}{}
-		<-k.mainCh
+		return p
+	}
+}
+
+// handoff passes the baton to p, or to the Run/RunUntil caller when p is nil.
+func (k *Kernel) handoff(p *Proc) {
+	if p == nil {
+		k.mainCh <- struct{}{}
 		return
+	}
+	k.nwoken++
+	p.ch <- struct{}{}
+}
+
+// dispatchMain dispatches from the Run/RunUntil caller. It returns once no
+// event remains within the horizon — either directly, or (after the baton has
+// been handed to a process) when the out-of-work token arrives on mainCh.
+func (k *Kernel) dispatchMain() {
+	if p := k.next(); p != nil {
+		k.handoff(p)
+		<-k.mainCh
 	}
 }
 
@@ -278,64 +293,16 @@ func (k *Kernel) dispatchMain() {
 // continue: its own resume event popped, or — after passing the baton on —
 // the resume token arrived on its channel.
 func (k *Kernel) dispatch(self *Proc) {
-	for {
-		next, ok := k.cal.peek()
-		if !ok || next.t > k.horizon {
-			k.mainCh <- struct{}{}
-			<-self.ch
-			return
-		}
-		ev := k.cal.pop()
-		if k.rec != nil {
-			k.observe(ev)
-		}
-		k.now = ev.t
-		p, ok := ev.h.(*Proc)
-		if !ok {
-			ev.h.Fire()
-			continue
-		}
-		if p == self {
-			return
-		}
-		if p.done {
-			panic("sim: resuming finished process " + p.name)
-		}
-		k.nwoken++
-		p.ch <- struct{}{}
+	if p := k.next(); p != self {
+		k.handoff(p)
 		<-self.ch
-		return
 	}
 }
 
 // dispatchEnd dispatches from a process whose function has returned. It
 // passes the baton on and returns so the goroutine can exit; the process has
 // no future resume to wait for.
-func (k *Kernel) dispatchEnd() {
-	for {
-		next, ok := k.cal.peek()
-		if !ok || next.t > k.horizon {
-			k.mainCh <- struct{}{}
-			return
-		}
-		ev := k.cal.pop()
-		if k.rec != nil {
-			k.observe(ev)
-		}
-		k.now = ev.t
-		p, ok := ev.h.(*Proc)
-		if !ok {
-			ev.h.Fire()
-			continue
-		}
-		if p.done {
-			panic("sim: resuming finished process " + p.name)
-		}
-		k.nwoken++
-		p.ch <- struct{}{}
-		return
-	}
-}
+func (k *Kernel) dispatchEnd() { k.handoff(k.next()) }
 
 // Pending reports the number of events still scheduled.
 func (k *Kernel) Pending() int { return k.cal.len() }

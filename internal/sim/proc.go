@@ -41,8 +41,8 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 }
 
 // Fire implements Hook so a *Proc can sit directly in an event. The dispatch
-// loops recognize processes by type assertion and hand them the baton instead
-// of calling Fire; reaching it means an event bypassed dispatch.
+// loop recognizes processes by type assertion and hands them the baton
+// instead of calling Fire; reaching it means an event bypassed dispatch.
 func (p *Proc) Fire() { panic("sim: Proc.Fire called outside dispatch") }
 
 // Name returns the process name given at spawn.

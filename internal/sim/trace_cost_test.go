@@ -20,24 +20,67 @@ func (h *tickHook) Fire() {
 	}
 }
 
+// churnTick is one member of a standing event population: it reschedules
+// itself at a pseudo-random delay until a shared budget runs out.
+type churnTick struct {
+	k    *Kernel
+	left *int
+	rng  uint64
+}
+
+func (h *churnTick) Fire() {
+	if *h.left <= 0 {
+		return
+	}
+	*h.left--
+	h.rng ^= h.rng << 13
+	h.rng ^= h.rng >> 7
+	h.rng ^= h.rng << 17
+	h.k.AfterHook(1e-7+float64(h.rng%1024)*1e-8, h)
+}
+
 // TestDisabledTracingAllocFree pins the zero-cost contract: with no
 // recorder installed, the kernel's schedule/dispatch cycle must not
 // allocate. The tracing hooks on this path are a single `k.rec != nil`
 // check (dispatch) and a shift-or into the seq word (insert); anything
-// more shows up here as a failure.
+// more shows up here as a failure. Two shapes are checked: one event
+// rescheduling itself, and a standing population of 1,024 self-rescheduling
+// hooks (BenchmarkKernelEventChurn's shape), which fails if the calendar
+// heap allocates once it has grown to the population.
 func TestDisabledTracingAllocFree(t *testing.T) {
 	k := NewKernel()
 	h := &tickHook{k: k, dt: 1e-6}
-	run := func() {
+	single := func() {
 		h.remaining = 20000
 		k.AtHook(k.Now()+h.dt, h)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the calendar queue: bucket slices keep their capacity
-	if avg := testing.AllocsPerRun(10, run); avg != 0 {
-		t.Fatalf("disabled-tracing dispatch allocates: %.1f allocs per 20k events", avg)
+
+	var left int
+	pop := make([]*churnTick, 1024)
+	for i := range pop {
+		pop[i] = &churnTick{k: k, left: &left, rng: uint64(i)*2654435761 + 1}
+	}
+	standing := func() {
+		left = 20000
+		for i, c := range pop {
+			k.AfterHook(float64(i+1)*1e-7, c)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{{"single", single}, {"standing-1024", standing}} {
+		c.run() // grow the calendar heap to the population; it keeps its capacity
+		if avg := testing.AllocsPerRun(10, c.run); avg != 0 {
+			t.Fatalf("%s: disabled-tracing dispatch allocates: %.1f allocs per 20k events", c.name, avg)
+		}
 	}
 }
 
