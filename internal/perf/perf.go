@@ -5,6 +5,7 @@
 package perf
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"runtime"
@@ -36,10 +37,14 @@ type Benchmark struct {
 	Extra        map[string]float64 `json:"extra,omitempty"`
 }
 
-// Report is the contents of a BENCH_*.json file.
+// Report is the contents of a BENCH_*.json file. CPU and NumCPU name the
+// host, so wall-clock numbers are only compared between reports that agree
+// on them; CPU is omitted where the model cannot be read.
 type Report struct {
 	GoVersion  string      `json:"go_version"`
 	GOMAXPROCS int         `json:"gomaxprocs"`
+	CPU        string      `json:"cpu,omitempty"`
+	NumCPU     int         `json:"num_cpu"`
 	When       string      `json:"when"`
 	Notes      string      `json:"notes,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
@@ -47,12 +52,29 @@ type Report struct {
 
 // NewReport returns a report stamped with the current environment.
 func NewReport(notes string) *Report {
-	return &Report{
+	r := &Report{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 		When:       time.Now().UTC().Format(time.RFC3339),
 		Notes:      notes,
 	}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		r.CPU = cpuModel(info)
+	}
+	return r
+}
+
+// cpuModel returns the first "model name" in a /proc/cpuinfo listing, or ""
+// when there is none.
+func cpuModel(cpuinfo []byte) string {
+	for _, line := range bytes.Split(cpuinfo, []byte("\n")) {
+		key, val, ok := bytes.Cut(line, []byte(":"))
+		if ok && string(bytes.TrimSpace(key)) == "model name" {
+			return string(bytes.TrimSpace(val))
+		}
+	}
+	return ""
 }
 
 // Add appends a measurement.

@@ -234,3 +234,80 @@ func TestSleepUntilPastIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestResumeInlineTakesTheHooksDispatchPosition(t *testing.T) {
+	k := NewKernel()
+	var order []string
+	var a *Proc
+	a = k.Go("a", func(p *Proc) {
+		p.Park()
+		order = append(order, fmt.Sprintf("a@%v", p.Now()))
+	})
+	k.Go("b", func(p *Proc) {
+		// Same instant, scheduled in this order: the hook's inline resume
+		// must run a before the later event, exactly where the hook sits.
+		k.AtHook(2, funcHook(func() { a.ResumeInline() }))
+		k.At(2, func() { order = append(order, "later@2") })
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a@2", "later@2"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+	// Two spawns plus one resume of a.
+	if k.Woken() != 3 {
+		t.Fatalf("woken %d, want 3", k.Woken())
+	}
+}
+
+func TestResumeInlineOfDispatchingProcessSkipsHandoff(t *testing.T) {
+	k := NewKernel()
+	var wake float64
+	k.Go("p", func(p *Proc) {
+		k.AfterHook(1.5, funcHook(func() { p.ResumeInline() }))
+		p.Park()
+		wake = p.Now()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if wake != 1.5 {
+		t.Fatalf("woke at %v, want 1.5", wake)
+	}
+	if k.Woken() != 1 { // the spawn only: p dispatched its own resume
+		t.Fatalf("woken %d, want 1", k.Woken())
+	}
+}
+
+func TestResumeInlineMisusePanics(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	k := NewKernel()
+	var a, b, s *Proc
+	a = k.Go("a", func(p *Proc) { p.Park() })
+	b = k.Go("b", func(p *Proc) { p.Park() })
+	s = k.Go("s", func(p *Proc) {
+		mustPanic("ResumeInline outside a hook", a.ResumeInline)
+		p.Sleep(5)
+	})
+	k.At(1, func() {
+		a.ResumeInline()
+		mustPanic("second ResumeInline from one hook", b.ResumeInline)
+		b.Unpark()
+	})
+	k.At(2, func() {
+		mustPanic("ResumeInline of a sleeping process", s.ResumeInline)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
